@@ -199,13 +199,14 @@ def _path_to_root(v: int, parent: dict[int, int]) -> tuple[int, ...]:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line ``n``, then ``u v`` lines.
 
-    Lines starting with ``#`` are comments; blank lines are skipped.
+    ``#`` starts a comment that runs to the end of the line; blank lines
+    are skipped.
     """
     n: int | None = None
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         parts = line.split()
         if n is None:

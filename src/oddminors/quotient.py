@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, StructureError
 from .graph import Graph, parse_edge_list
-from .partition import BcpPartition, find_witness_triple, verify_partition
+from .partition import BcpPartition, _check_partition
 from .verification import VerificationReport
 
 
@@ -38,24 +38,11 @@ def build_quotient(g: Graph, p: BcpPartition) -> QuotientGraph:
     The partition is re-verified first; the stored witness for edge (i, j)
     is the least triple by (v, u1, u2) with u1 on side A of part i.
     """
-    report = verify_partition(g, p)
-    if not report.passed:
-        raise StructureError(
-            "partition fails verification: " + "; ".join(report.failures)
-        )
-    part_of = p.part_of
-    h_edges = set()
-    for u, v in g.edges:
-        i, j = part_of[u], part_of[v]
-        if i != j:
-            h_edges.add((min(i, j), max(i, j)))
-    witnesses: dict[tuple[int, int], WitnessTriple] = {}
-    for i, j in sorted(h_edges):
-        triple = find_witness_triple(g, p, i, j)
-        if triple is None:
-            raise StructureError(f"no witness triple for quotient edge ({i}, {j})")
-        witnesses[(i, j)] = WitnessTriple(*triple)
-    return QuotientGraph(Graph(len(p), sorted(h_edges)), witnesses, p)
+    failures, triples = _check_partition(g, p)
+    if failures:
+        raise StructureError("partition fails verification: " + "; ".join(failures))
+    witnesses = {pair: WitnessTriple(*triple) for pair, triple in triples.items()}
+    return QuotientGraph(Graph(len(p), witnesses.keys()), witnesses, p)
 
 
 def contraction_check(g: Graph, q: QuotientGraph) -> VerificationReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from oddminors import Graph
+from oddminors import BcpPartition, Graph, TwoSides, VerificationReport
 
 
 def _adj(g: Graph) -> list[set[int]]:
@@ -183,3 +183,131 @@ def _odd_signable(g: Graph, classes: list[frozenset[int]]) -> bool:
             ):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the first partition implementation: an ascending rescan
+# after every absorption, and a verifier that scans every edge once per part.
+# The two public bodies are verbatim, and so are the helpers they call, less
+# a range check their filtered input cannot trip, so the current code can be
+# held to their exact output, failure messages and their order included.
+
+
+def frozen_compute_partition(g: Graph) -> BcpPartition:
+    unused = set(range(g.n))
+    parts: list[TwoSides] = []
+    while unused:
+        seed = min(unused)
+        side: dict[int, int] = {seed: 0}
+        unused.remove(seed)
+        grown = True
+        while grown:
+            grown = False
+            for v in sorted(unused):
+                sides_seen = {side[w] for w in g.neighbors(v) if w in side}
+                if len(sides_seen) != 1:
+                    continue
+                side[v] = 1 - sides_seen.pop()
+                unused.remove(v)
+                grown = True
+                break
+        side_a = frozenset(v for v, s in side.items() if s == 0)
+        side_b = frozenset(v for v, s in side.items() if s == 1)
+        parts.append(TwoSides(side_a, side_b))
+    return BcpPartition(tuple(parts))
+
+
+def frozen_verify_partition(g: Graph, p: BcpPartition) -> VerificationReport:
+    failures: list[str] = []
+    seen: dict[int, int] = {}
+    for i, part in enumerate(p.parts):
+        members = part.members
+        if not members:
+            failures.append(f"part {i} is empty")
+            continue
+        for v in sorted(members):
+            if not (0 <= v < g.n):
+                failures.append(f"part {i}: vertex {v} out of range")
+            elif v in seen:
+                failures.append(f"vertex {v} appears in parts {seen[v]} and {i}")
+            else:
+                seen[v] = i
+        if part.side_a & part.side_b:
+            failures.append(f"part {i}: sides overlap")
+        comps = _frozen_connected_components(g, members & frozenset(range(g.n)))
+        if len(comps) != 1:
+            failures.append(f"part {i}: induces {len(comps)} components, expected 1")
+        for u, v in g.edges:
+            if u in members and v in members:
+                same_a = u in part.side_a and v in part.side_a
+                same_b = u in part.side_b and v in part.side_b
+                if same_a or same_b:
+                    failures.append(
+                        f"part {i}: edge ({u}, {v}) joins two vertices on one side"
+                    )
+        if members and min(members) not in part.side_a:
+            failures.append(f"part {i}: lowest vertex not on side A")
+
+    missing = set(range(g.n)) - set(seen)
+    if missing:
+        failures.append(f"uncovered vertices: {sorted(missing)}")
+
+    if not failures:
+        for i, j in _frozen_adjacent_part_pairs(g, p):
+            if _frozen_find_witness_triple(g, p, i, j) is None:
+                failures.append(
+                    f"parts ({i}, {j}) are joined by an edge but admit no witness triple"
+                )
+    return VerificationReport(tuple(failures))
+
+
+def frozen_witnesses(g: Graph, p: BcpPartition) -> dict[tuple[int, int], tuple[int, int, int] | None]:
+    """Each pair of parts joined by an edge, in ascending order, mapped to
+    its least witness triple, as the first ``build_quotient`` found them."""
+    return {
+        (i, j): _frozen_find_witness_triple(g, p, i, j)
+        for i, j in _frozen_adjacent_part_pairs(g, p)
+    }
+
+
+def _frozen_adjacent_part_pairs(g: Graph, p: BcpPartition) -> list[tuple[int, int]]:
+    pairs = set()
+    part_of = p.part_of
+    for u, v in g.edges:
+        i, j = part_of.get(u), part_of.get(v)
+        if i is None or j is None or i == j:
+            continue
+        pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
+def _frozen_find_witness_triple(
+    g: Graph, p: BcpPartition, i: int, j: int
+) -> tuple[int, int, int] | None:
+    low = p.parts[i]
+    for v in sorted(p.members(j)):
+        in_a = sorted(w for w in g.neighbors(v) if w in low.side_a)
+        in_b = sorted(w for w in g.neighbors(v) if w in low.side_b)
+        if in_a and in_b:
+            return in_a[0], in_b[0], v
+    return None
+
+
+def _frozen_connected_components(g: Graph, subset) -> list[frozenset[int]]:
+    members = set(subset)
+    out: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for start in sorted(members):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            for y in g.neighbors(x):
+                if y in members and y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out

@@ -47,6 +47,16 @@ class TestGraphInput:
         assert code == 0
         assert "0: A=0,2 B=1,3" in out
 
+    def test_trailing_comment_in_graph(self):
+        code, out, _ = run(["partition"], stdin_text="3\n0 1 # note\n1 2\n")
+        assert (code, out) == (0, "0: A=0,2 B=1\nPASS\n")
+
+    def test_trailing_comment_in_partition(self, tmp_path):
+        art = tmp_path / "p.txt"
+        art.write_text("0: A=0,2 B=1  # note\n")
+        code, out, _ = run(["verify", "--partition", str(art)], stdin_text="3\n0 1\n1 2\n")
+        assert (code, out) == (0, "PASS\n")
+
     def test_garbage_graph(self):
         code, _, err = run(["partition"], stdin_text="5\n0 one\n")
         assert code == 2

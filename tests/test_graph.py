@@ -72,6 +72,10 @@ class TestParsing:
         g = parse_edge_list("# a triangle\n3\n0 1\n\n1 2\n0 2\n")
         assert g == complete(3)
 
+    def test_edge_list_trailing_comments(self):
+        g = parse_edge_list("3  # vertices\n0 1 # note\n1 2\n0 2#\n")
+        assert g == complete(3)
+
     def test_edge_list_errors(self):
         with pytest.raises(ParseError):
             parse_edge_list("")

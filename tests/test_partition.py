@@ -1,15 +1,18 @@
 """Bipartite-connected partition: greedy extraction, verification, format."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import small_corpus
+from corpus import corpus, small_corpus
 from oddminors import (
     BcpPartition,
     Graph,
     ParseError,
     TwoSides,
+    build_quotient,
     complete,
     compute_partition,
     cycle,
@@ -18,7 +21,12 @@ from oddminors import (
     verify_partition,
 )
 from oddminors.partition import find_witness_triple
-from oracles import is_maximal_bipartite_connected
+from oracles import (
+    frozen_compute_partition,
+    frozen_verify_partition,
+    frozen_witnesses,
+    is_maximal_bipartite_connected,
+)
 
 
 @st.composite
@@ -32,6 +40,68 @@ def graphs(draw, max_n=10):
 
 def sides(a, b):
     return TwoSides(frozenset(a), frozenset(b))
+
+
+def sparse_graph(n, m, seed):
+    """G(n, m): m distinct uniform edges, at most all pairs."""
+    rng = random.Random(seed)
+    m = min(m, n * (n - 1) // 2)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+def corruptions(g, p, seed):
+    """One broken copy of p per kind of damage, by name."""
+    rng = random.Random(seed)
+    parts = [(set(part.side_a), set(part.side_b)) for part in p.parts]
+    v = rng.randrange(g.n)
+    home = p.part_of[v]
+    other = rng.choice([i for i in range(len(parts)) if i != home] or [home])
+    out = {}
+
+    def copy():
+        return [(set(a), set(b)) for a, b in parts]
+
+    moved = copy()
+    moved[home][0].discard(v)
+    moved[home][1].discard(v)
+    moved[other][rng.randrange(2)].add(v)
+    out["moved"] = moved
+
+    duplicated = copy()
+    duplicated[other][rng.randrange(2)].add(v)
+    out["duplicated"] = duplicated
+
+    out_of_range = copy()
+    out_of_range[home][rng.randrange(2)].add(rng.choice([g.n, g.n + 5, -1]))
+    out["out_of_range"] = out_of_range
+
+    out["swapped"] = [(b, a) if i == home else (a, b) for i, (a, b) in enumerate(parts)]
+    out["dropped"] = parts[:home] + parts[home + 1 :]
+
+    a, b = parts[home]
+    cut = set(sorted(a | b)[len(a | b) // 2 :])
+    out["split"] = parts[:home] + [(a - cut, b - cut), (a & cut, b & cut)] + parts[home + 1 :]
+    return {
+        kind: BcpPartition(tuple(sides(a, b) for a, b in broken))
+        for kind, broken in out.items()
+    }
+
+
+def assert_same_as_frozen(g):
+    p = compute_partition(g)
+    assert p == frozen_compute_partition(g)
+    assert verify_partition(g, p) == frozen_verify_partition(g, p)
+    q = build_quotient(g, p)
+    assert {e: (w.u1, w.u2, w.v) for e, w in q.witnesses.items()} == frozen_witnesses(g, p)
+    if g.n:
+        for kind, broken in corruptions(g, p, g.n + g.m).items():
+            new, old = verify_partition(g, broken), frozen_verify_partition(g, broken)
+            assert new == old, kind
 
 
 class TestComputePartition:
@@ -90,6 +160,38 @@ class TestComputePartition:
     @settings(max_examples=80)
     def test_random_graphs_pass_verification(self, g):
         assert verify_partition(g, compute_partition(g)).passed
+
+
+class TestAgainstFrozenCopy:
+    """Equal output to the first implementation kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("name,g", corpus())
+    def test_corpus(self, name, g):
+        assert_same_as_frozen(g)
+
+    @given(graphs(max_n=12))
+    @settings(max_examples=60)
+    def test_random_graphs(self, g):
+        assert_same_as_frozen(g)
+
+    @pytest.mark.parametrize("n", [10, 50, 150, 400])
+    def test_sparse_graphs(self, n):
+        for seed in range(3):
+            assert_same_as_frozen(sparse_graph(n, n, seed))
+
+    def test_each_corruption_fails(self):
+        g = complete(5)
+        for kind, broken in corruptions(g, compute_partition(g), 1).items():
+            assert not verify_partition(g, broken).passed, kind
+
+
+def test_scale_guard():
+    # Sized so that the quadratic frozen copies in tests/oracles.py would
+    # take about a minute (extrapolated from n = 3000).
+    g = sparse_graph(20000, 20000, 0)
+    p = compute_partition(g)
+    assert verify_partition(g, p).passed
+    assert build_quotient(g, p).h.n == len(p)
 
 
 class TestVerifyPartition:
@@ -166,6 +268,10 @@ class TestSerialization:
     def test_round_trip_random(self, g):
         p = compute_partition(g)
         assert parse_partition(render_partition(p)) == p
+
+    def test_trailing_comments(self):
+        text = "# two parts\n0: A=0,2 B=1  # note\n1: A=3 B=#\n"
+        assert parse_partition(text) == BcpPartition((sides([0, 2], [1]), sides([3], [])))
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
