@@ -10,7 +10,6 @@ certificate clause by clause and never trust the finder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BudgetExceeded, ContractViolation, ParseError, StructureError
 from .graph import Graph
@@ -196,10 +195,21 @@ def find_expansion(
 
     Enumerates vertex → {unused, 1..t} maps in lexicographic order and
     returns the certificate of the first map whose classes are nonempty,
-    connected, and pairwise joined by an edge.  Pruning (canonical label
-    order, class connectability, pair coverage) only skips maps that are
-    relabelings of others or provably not completable, so the outcome
-    matches plain enumeration.
+    connected, and pairwise joined by an edge; each connector is the least
+    edge between its two trees.
+
+    Vertices are assigned in id order, classes open in label order (maps
+    that only relabel classes are skipped), and each open class k carries
+    its reach R_k: the component of g[C_k ∪ unassigned] that holds C_k.
+    Any completion of C_k is connected, holds C_k and lies in
+    C_k ∪ unassigned, so it lies in R_k.  Hence a subtree is cut, with no
+    valid map lost, when C_k is not inside one component (vertex i may then
+    only join k itself), when no edge joins R_a to R_b, when fewer than t
+    classes are open and some R_a has no edge into the unassigned vertices
+    (where every later class lies), or when too few vertices remain for
+    the classes still to open.  Assigning i to k needs i ∈ R_k and leaves
+    R_k as it is; only the reaches holding i are recomputed, once per
+    node.  The outcome matches plain enumeration.
     """
     return _search(g, t, max_assignments, odd=False)
 
@@ -209,11 +219,19 @@ def find_odd_expansion(
 ) -> OddExpansionCertificate | None:
     """Exhaustive odd K_t-expansion search over branch-set maps.
 
-    For each valid branch-set map, each class gets its breadth-first
-    spanning tree and canonical 2-coloring; a tree's coloring is unique up
-    to one flip, so the 2^t flip vectors exhaust the parity freedom for
-    those trees.  The first map admitting a flip vector that makes every
-    connector monochromatic yields the certificate.
+    Runs the search of find_expansion.  For each valid branch-set map, each
+    class gets its breadth-first spanning tree and that tree's canonical
+    2-coloring, unique up to one flip per tree.  Flips come first: a cross
+    edge (u, v) of trees a and b is monochromatic exactly when
+    flip[a] ^ flip[b] equals [color(u) != color(v)], so a pair whose cross
+    edges all ask for the same relative flip forces it, and a pair that
+    offers both constrains nothing.  A parity union-find solves the forced
+    equations; then, pair by pair, each connector is the least cross edge
+    that stays consistent with the equations taken so far.  The flips are
+    the lexicographically first that make those connectors monochromatic.
+    The first map that admits a solution yields the certificate; a map
+    admits one exactly when some choice of cross edges, one per pair, can
+    be made monochromatic by flips of these trees.
     """
     return _search(g, t, max_assignments, odd=True)
 
@@ -234,79 +252,109 @@ def _search(g: Graph, t: int, max_assignments: int, odd: bool):
     for u, v in g.sorted_edges():
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    # suffix_mask[i] / suffix_nbr[i]: vertices >= i and their neighborhoods.
+    # suffix_mask[i]: the vertices >= i, which are still unassigned at i.
     suffix_mask = [0] * (n + 1)
-    suffix_nbr = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_mask[i] = suffix_mask[i + 1] | (1 << i)
-        suffix_nbr[i] = suffix_nbr[i + 1] | adj[i]
 
+    # Per open class k: its vertices, its reach R_k (the component of
+    # g[C_k | suffix] holding C_k) and N(R_k), the union of the
+    # neighbourhoods of R_k's vertices.  Every completion of C_k is a
+    # connected set inside C_k | suffix, so it lies inside R_k.
     cmask = [0] * (t + 1)
-    cnbr = [0] * (t + 1)
+    reach = [0] * (t + 1)
+    rnbr = [0] * (t + 1)
 
-    def connected(mask: int, allowed: int) -> bool:
-        # All bits of `mask` in one component of g[mask | allowed]?
-        if mask == 0:
-            return True
-        whole = mask | allowed
-        reached = mask & -mask
-        frontier = reached
+    def component(start: int, allowed: int) -> tuple[int, int]:
+        # The component of g[allowed] holding the single bit `start`, and
+        # the union of its vertices' neighbourhoods.
+        reached = frontier = start
+        nbr = 0
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
                 nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & whole & ~reached
+            nbr |= nxt
+            frontier = nxt & allowed & ~reached
             reached |= frontier
-        return not (mask & ~reached)
+        return reached, nbr
 
-    def feasible(i: int, used: int) -> bool:
-        # Called with vertices 0..i assigned; suffix starts at i + 1.
+    # The reach of a class opened at i: the component of i in g[suffix].
+    opening = [component(1 << i, suffix_mask[i]) for i in range(n)]
+
+    def feasible(i: int, used: int, changed: list[int]) -> bool:
+        # Called with vertices 0..i assigned; the suffix starts at i + 1.
+        # Pairs of unchanged reaches passed this test at the parent node.
         if t - used > n - i - 1:
             return False
-        smask, snbr = suffix_mask[i + 1], suffix_nbr[i + 1]
-        for k in range(1, used + 1):
-            if not connected(cmask[k], smask):
-                return False
-        for a in range(1, used + 1):
-            for b in range(a + 1, used + 1):
-                if not ((cnbr[a] | snbr) & (cmask[b] | smask)):
+        if used < t:
+            # A class still to open lies in the suffix and must touch R_a.
+            rest = suffix_mask[i + 1]
+            for a in range(1, used + 1):
+                if not rnbr[a] & rest:
+                    return False
+        for a in changed:
+            na = rnbr[a]
+            for b in range(1, used + 1):
+                if not na & reach[b] and b != a:
                     return False
         return True
 
-    def at_leaf():
-        classes = [cmask[k] for k in range(1, t + 1)]
-        for mask in classes:
-            if not connected(mask, 0):
-                return None
-        for a in range(t):
-            for b in range(a + 1, t):
-                if not (cnbr[a + 1] & classes[b]):
-                    return None
-        return _certify(g, classes, odd)
-
     def search(i: int, used: int):
         if i == n:
-            return at_leaf() if used == t else None
+            # feasible() at i = n - 1 saw an empty suffix: every class is
+            # connected, all t are open and every pair is joined.
+            return _certify(g, cmask[1:], odd)
         bit = 1 << i
-        for val in range(0, min(t, used + 1) + 1):
-            if val == 0:
-                if feasible(i, used):
-                    out = search(i + 1, used)
-                    if out is not None:
-                        return out
-                continue
-            saved_mask, saved_nbr = cmask[val], cnbr[val]
-            cmask[val] |= bit
-            cnbr[val] |= adj[i]
-            new_used = max(used, val)
-            if feasible(i, new_used):
+        # i leaves the suffix, so only the reaches holding i can change; each
+        # is recomputed once here, whatever i is assigned to.
+        holders = []
+        kept = []
+        cuts = []
+        broken = []
+        for k in range(1, used + 1):
+            if reach[k] & bit:
+                cut = component(cmask[k] & -cmask[k], reach[k] ^ bit)
+                if cmask[k] & ~cut[0]:
+                    broken.append(k)
+                holders.append(k)
+                kept.append((reach[k], rnbr[k]))
+                cuts.append(cut)
+                reach[k], rnbr[k] = cut
+        if broken:
+            # A class that falls apart without i can only continue by taking
+            # i, and i can mend only one class.
+            vals = broken if len(broken) == 1 else ()
+        else:
+            vals = [0, *holders]
+            if used < t:
+                vals.append(used + 1)
+        for val in vals:
+            new_used = used
+            changed = holders
+            if val > used:
+                new_used = val
+                cmask[val] = bit
+                reach[val], rnbr[val] = opening[i]
+                changed = [*holders, val]
+            elif val:
+                # R_val holds i, so it is also the reach of C_val + i.
+                cmask[val] |= bit
+                j = holders.index(val)
+                reach[val], rnbr[val] = kept[j]
+                changed = holders[:j] + holders[j + 1:]
+            if feasible(i, new_used, changed):
                 out = search(i + 1, new_used)
                 if out is not None:
                     return out
-            cmask[val], cnbr[val] = saved_mask, saved_nbr
+            if val:
+                cmask[val] ^= bit
+                if val <= used:
+                    reach[val], rnbr[val] = cuts[j]
+        for k, kr in zip(holders, kept):
+            reach[k], rnbr[k] = kr
         return None
 
     return search(0, 0)
@@ -327,37 +375,67 @@ def _certify(g: Graph, class_masks: list[int], odd: bool):
     trees = tuple(
         ExpansionTree(cls, frozenset(bfs_tree_edges(g, cls))) for cls in classes
     )
-    connectors: dict[tuple[int, int], tuple[int, int]] = {}
-    for a in range(t):
-        for b in range(a + 1, t):
-            connectors[(a, b)] = min(
-                (u, w) if u < w else (w, u)
-                for u in classes[a]
-                for w in g.neighbors(u)
-                if w in classes[b]
-            )
-    base = ExpansionCertificate(trees, connectors)
+    # Every edge between the two trees of a pair, least first.
+    cross = {
+        (a, b): sorted(
+            (u, w) if u < w else (w, u)
+            for u in classes[a]
+            for w in g.neighbors(u)
+            if w in classes[b]
+        )
+        for a in range(t)
+        for b in range(a + 1, t)
+    }
     if not odd:
-        return base
-    # Canonical coloring per tree; flips are the only remaining freedom.
+        return ExpansionCertificate(trees, {pair: edges[0] for pair, edges in cross.items()})
+    # Canonical coloring per tree; flipping a tree's colors is the only
+    # freedom left.  A cross edge (u, v) of pair (a, b) is monochromatic
+    # exactly when flip[a] ^ flip[b] == [color(u) != color(v)], an XOR
+    # equation.  A parity union-find holds the equations taken so far; each
+    # root is the least tree of its component and stays unflipped.
     canon = [two_color_tree(tree.edges, min(tree.vertices)) for tree in trees]
-    home = {v: s for s, cls in enumerate(classes) for v in cls}
-    for flips in product((0, 1), repeat=t):
-        ok = True
-        for (a, b), (u, v) in connectors.items():
-            cu = canon[home[u]][u] if not flips[home[u]] else 3 - canon[home[u]][u]
-            cv = canon[home[v]][v] if not flips[home[v]] else 3 - canon[home[v]][v]
-            if cu != cv:
-                ok = False
-                break
-        if ok:
-            parity = {
-                v: (canon[s][v] if not flips[s] else 3 - canon[s][v])
-                for s, cls in enumerate(classes)
-                for v in cls
-            }
-            return OddExpansionCertificate(base, parity)
-    return None
+    color = {v: c for col in canon for v, c in col.items()}
+    root = list(range(t))
+    rel = [0] * t  # flip[s] ^ flip[root[s]]
+
+    def find(s: int) -> tuple[int, int]:
+        p = 0
+        while root[s] != s:
+            p ^= rel[s]
+            s = root[s]
+        return s, p
+
+    def join(a: int, b: int, x: int) -> bool:
+        # Add flip[a] ^ flip[b] == x; False if it contradicts the others.
+        ra, pa = find(a)
+        rb, pb = find(b)
+        x ^= pa ^ pb
+        if ra == rb:
+            return not x
+        root[max(ra, rb)] = min(ra, rb)
+        rel[max(ra, rb)] = x
+        return True
+
+    # A pair whose cross edges all ask for the same relative flip forces it.
+    for (a, b), edges in cross.items():
+        allowed = {color[u] != color[v] for u, v in edges}
+        if len(allowed) == 1 and not join(a, b, allowed.pop()):
+            return None
+    # Every other pair allows both relative flips, so whatever the pairs
+    # before it chose, it still has a cross edge that can be monochromatic:
+    # each pair in turn takes the least cross edge consistent with the rest.
+    connectors = {}
+    for (a, b), edges in cross.items():
+        connectors[(a, b)] = next(
+            (u, v) for u, v in edges if join(a, b, color[u] != color[v])
+        )
+    flips = [find(s)[1] for s in range(t)]
+    parity = {
+        v: (canon[s][v] if not flips[s] else 3 - canon[s][v])
+        for s, cls in enumerate(classes)
+        for v in cls
+    }
+    return OddExpansionCertificate(ExpansionCertificate(trees, connectors), parity)
 
 
 def render_certificate(cert: ExpansionCertificate | OddExpansionCertificate) -> str:

@@ -9,7 +9,17 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from oddminors import BcpPartition, Graph, TwoSides, VerificationReport
+from oddminors import (
+    BcpPartition,
+    BudgetExceeded,
+    ContractViolation,
+    ExpansionCertificate,
+    ExpansionTree,
+    Graph,
+    OddExpansionCertificate,
+    TwoSides,
+    VerificationReport,
+)
 
 
 def _adj(g: Graph) -> list[set[int]]:
@@ -311,3 +321,193 @@ def _frozen_connected_components(g: Graph, subset) -> list[frozenset[int]]:
         seen |= comp
         out.append(frozenset(comp))
     return out
+
+# ---------------------------------------------------------------------------
+# Frozen copy of the first expansion search: lexicographic branch-set maps,
+# pruned by a connectivity test of every open class at every node.  The body
+# is verbatim, except that a leaf's class masks go to the `certify` argument
+# in place of the package's private certificate builder, so a test can record
+# every valid map the search reaches, or build the certificate the package
+# would.
+
+
+def frozen_search(g: Graph, t: int, max_assignments: int, odd: bool, certify):
+    if t < 1:
+        raise ContractViolation(f"t must be a positive integer, got {t}")
+    n = g.n
+    total = (t + 1) ** n
+    if total > max_assignments:
+        raise BudgetExceeded(
+            f"(t+1)^n = {total} assignments exceeds the budget of {max_assignments}"
+        )
+    if t > n:
+        return None
+
+    adj = [0] * n
+    for u, v in g.sorted_edges():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    # suffix_mask[i] / suffix_nbr[i]: vertices >= i and their neighborhoods.
+    suffix_mask = [0] * (n + 1)
+    suffix_nbr = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_mask[i] = suffix_mask[i + 1] | (1 << i)
+        suffix_nbr[i] = suffix_nbr[i + 1] | adj[i]
+
+    cmask = [0] * (t + 1)
+    cnbr = [0] * (t + 1)
+
+    def connected(mask: int, allowed: int) -> bool:
+        # All bits of `mask` in one component of g[mask | allowed]?
+        if mask == 0:
+            return True
+        whole = mask | allowed
+        reached = mask & -mask
+        frontier = reached
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & whole & ~reached
+            reached |= frontier
+        return not (mask & ~reached)
+
+    def feasible(i: int, used: int) -> bool:
+        # Called with vertices 0..i assigned; suffix starts at i + 1.
+        if t - used > n - i - 1:
+            return False
+        smask, snbr = suffix_mask[i + 1], suffix_nbr[i + 1]
+        for k in range(1, used + 1):
+            if not connected(cmask[k], smask):
+                return False
+        for a in range(1, used + 1):
+            for b in range(a + 1, used + 1):
+                if not ((cnbr[a] | snbr) & (cmask[b] | smask)):
+                    return False
+        return True
+
+    def at_leaf():
+        classes = [cmask[k] for k in range(1, t + 1)]
+        for mask in classes:
+            if not connected(mask, 0):
+                return None
+        for a in range(t):
+            for b in range(a + 1, t):
+                if not (cnbr[a + 1] & classes[b]):
+                    return None
+        return certify(g, classes, odd)
+
+    def search(i: int, used: int):
+        if i == n:
+            return at_leaf() if used == t else None
+        bit = 1 << i
+        for val in range(0, min(t, used + 1) + 1):
+            if val == 0:
+                if feasible(i, used):
+                    out = search(i + 1, used)
+                    if out is not None:
+                        return out
+                continue
+            saved_mask, saved_nbr = cmask[val], cnbr[val]
+            cmask[val] |= bit
+            cnbr[val] |= adj[i]
+            new_used = max(used, val)
+            if feasible(i, new_used):
+                out = search(i + 1, new_used)
+                if out is not None:
+                    return out
+            cmask[val], cnbr[val] = saved_mask, saved_nbr
+        return None
+
+    return search(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The first certificate builder for a branch-set map: each connector fixed to
+# the least cross edge of its pair, then the 2^t flip vectors of the trees'
+# breadth-first colorings tried in order.  Verbatim, with the helpers it
+# calls, less the disconnection check a valid map cannot trip.
+
+
+def frozen_certify(g: Graph, class_masks: list[int], odd: bool):
+    t = len(class_masks)
+    classes = [frozenset(_frozen_bits(m)) for m in class_masks]
+    trees = tuple(
+        ExpansionTree(cls, frozenset(_frozen_bfs_tree_edges(g, cls))) for cls in classes
+    )
+    connectors: dict[tuple[int, int], tuple[int, int]] = {}
+    for a in range(t):
+        for b in range(a + 1, t):
+            connectors[(a, b)] = min(
+                (u, w) if u < w else (w, u)
+                for u in classes[a]
+                for w in g.neighbors(u)
+                if w in classes[b]
+            )
+    base = ExpansionCertificate(trees, connectors)
+    if not odd:
+        return base
+    # Canonical coloring per tree; flips are the only remaining freedom.
+    canon = [_frozen_two_color_tree(tree.edges, min(tree.vertices)) for tree in trees]
+    home = {v: s for s, cls in enumerate(classes) for v in cls}
+    for flips in product((0, 1), repeat=t):
+        ok = True
+        for (a, b), (u, v) in connectors.items():
+            cu = canon[home[u]][u] if not flips[home[u]] else 3 - canon[home[u]][u]
+            cv = canon[home[v]][v] if not flips[home[v]] else 3 - canon[home[v]][v]
+            if cu != cv:
+                ok = False
+                break
+        if ok:
+            parity = {
+                v: (canon[s][v] if not flips[s] else 3 - canon[s][v])
+                for s, cls in enumerate(classes)
+                for v in cls
+            }
+            return OddExpansionCertificate(base, parity)
+    return None
+
+
+def _frozen_bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out.append(b.bit_length() - 1)
+    return out
+
+
+def _frozen_bfs_tree_edges(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, int], ...]:
+    if not vertices:
+        return ()
+    root = min(vertices)
+    seen = {root}
+    queue = [root]
+    edges: list[tuple[int, int]] = []
+    while queue:
+        u = queue.pop(0)
+        for w in g.neighbors(u):
+            if w in vertices and w not in seen:
+                seen.add(w)
+                queue.append(w)
+                edges.append((u, w) if u < w else (w, u))
+    return tuple(edges)
+
+
+def _frozen_two_color_tree(edges: frozenset[tuple[int, int]], root: int) -> dict[int, int]:
+    adj: dict[int, list[int]] = {root: []}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    color = {root: 1}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in color:
+                color[w] = 3 - color[u]
+                stack.append(w)
+    return color

@@ -131,6 +131,20 @@ class TestPipelineCommands:
         code, out, _ = run(["verify", "--cert", str(cert)], stdin_text=C5)
         assert (code, out) == (0, "PASS\n")
 
+    def test_find_odd_minor_with_a_non_least_connector(self, tmp_path):
+        # In the odd K4 {0,2,5} {1} {3} {4}, pairs (1, 2), (2, 3) and (2, 4)
+        # force all four trees to the same flip, under which the least cross
+        # edge 2-4 of pair (1, 4) is bichromatic: the connector must be 4-5.
+        graph = "6\n0 1\n0 2\n0 3\n1 3\n1 4\n2 3\n2 4\n2 5\n3 4\n4 5\n"
+        code, out, _ = run(["find-odd-minor", "-t", "4"], stdin_text=graph)
+        assert code == 0
+        assert "T 1: 0,2,5 / 0-2,2-5\n" in out
+        assert "conn 1 4 : 4 5\n" in out
+        cert = tmp_path / "cert.txt"
+        cert.write_text(out)
+        code, out, _ = run(["verify", "--cert", str(cert)], stdin_text=graph)
+        assert (code, out) == (0, "PASS\n")
+
     def test_lift_by_search(self):
         code, out, _ = run(["lift", "-t", "2"], stdin_text=C5)
         assert code == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oddminors.minors as minors
 from corpus import all_graphs_on_5, small_corpus
 from oddminors import (
     BudgetExceeded,
@@ -16,12 +17,41 @@ from oddminors import (
     cycle,
     find_expansion,
     find_odd_expansion,
+    gnp,
     parse_certificate,
     render_certificate,
     verify_expansion,
     verify_odd_expansion,
 )
-from oracles import brute_is_bipartite, has_odd_expansion_naive, naive_find_branch_sets
+from oracles import (
+    brute_is_bipartite,
+    frozen_certify,
+    frozen_search,
+    has_odd_expansion_naive,
+    naive_find_branch_sets,
+)
+
+BUDGET = minors.DEFAULT_MAX_ASSIGNMENTS
+# Seeded G(n, p) with n <= 9 for the differential tests of the search.
+SEARCH_GRAPHS = [
+    (f"gnp({n},{p},seed={7000 + 10 * n + k})", gnp(n, p, 7000 + 10 * n + k))
+    for n in range(2, 10)
+    for k, p in enumerate((0.3, 0.5, 0.7))
+]
+NON_LEAST_CONNECTOR_K4 = Graph(
+    6, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)]
+)
+
+
+def recorder():
+    """A stand-in certificate builder that logs each leaf's class masks."""
+    leaves = []
+
+    def record(g, class_masks, odd):
+        leaves.append(tuple(class_masks))
+        return None
+
+    return leaves, record
 
 
 def tree(vertices, edges=()):
@@ -204,6 +234,77 @@ class TestFindExpansion:
                 assert find_expansion(g, t - 1) is not None, (name, t)
 
 
+class TestSearchAgainstFrozen:
+    """The pruned search against a frozen copy of the first one.
+
+    With a certificate builder that accepts nothing, both searches run to
+    the end and reach every valid branch-set map: the sequences must be
+    equal, which makes every certificate equal whatever the builder.
+    """
+
+    @pytest.mark.parametrize("name,g", small_corpus(8) + SEARCH_GRAPHS)
+    def test_same_valid_maps_in_the_same_order(self, name, g, monkeypatch):
+        for t in (2, 3, 4, 5):
+            new, record = recorder()
+            monkeypatch.setattr(minors, "_certify", record)
+            assert find_expansion(g, t) is None
+            old, record_frozen = recorder()
+            assert frozen_search(g, t, BUDGET, False, record_frozen) is None
+            assert new == old, (name, t)
+
+    @pytest.mark.parametrize("name,g", small_corpus(8))
+    def test_same_certificates(self, name, g):
+        for t in (2, 3, 4):
+            assert find_expansion(g, t) == frozen_search(
+                g, t, BUDGET, False, minors._certify
+            ), (name, t)
+
+    def test_same_guards(self):
+        for search in (
+            minors._search,
+            lambda *args: frozen_search(*args, frozen_certify),
+        ):
+            with pytest.raises(ContractViolation):
+                search(complete(3), 0, BUDGET, False)
+            with pytest.raises(BudgetExceeded):
+                search(cycle(9), 3, 4**9 - 1, False)
+            assert search(complete(4), 5, BUDGET, True) is None
+
+
+class TestCertify:
+    """The certificate built for one valid branch-set map."""
+
+    @pytest.mark.parametrize("name,g", small_corpus(6) + SEARCH_GRAPHS[:15])
+    def test_keeps_every_certificate_of_the_least_edge_rule(self, name, g):
+        # The first builder fixed each connector to the least cross edge and
+        # then tried the flips; wherever that worked, the answer is the same,
+        # and every map it refused that still yields a certificate verifies.
+        for t in (2, 3, 4):
+            maps, record = recorder()
+            frozen_search(g, t, BUDGET, True, record)
+            for masks in maps:
+                old = frozen_certify(g, list(masks), True)
+                new = minors._certify(g, list(masks), True)
+                if old is not None:
+                    assert new == old, (name, t, masks)
+                elif new is not None:
+                    assert verify_odd_expansion(g, new).passed, (name, t, masks)
+
+    def test_connector_need_not_be_the_least_cross_edge(self):
+        masks = [0b100101, 0b10, 0b1000, 0b10000]  # {0,2,5} {1} {3} {4}
+        assert frozen_certify(NON_LEAST_CONNECTOR_K4, masks, True) is None
+        cert = minors._certify(NON_LEAST_CONNECTOR_K4, masks, True)
+        assert verify_odd_expansion(NON_LEAST_CONNECTOR_K4, cert).passed
+        assert cert.base.connectors[(0, 3)] == (4, 5)
+
+    def test_contradictory_pairs_give_none(self):
+        # C6 split into the paths 0-1, 2-3 and 4-5: each pair has one cross
+        # edge, and the three relative flips it asks for sum to 1 mod 2.
+        masks = [0b000011, 0b001100, 0b110000]
+        assert minors._certify(cycle(6), masks, True) is None
+        assert frozen_certify(cycle(6), masks, True) is None
+
+
 class TestFindOddExpansion:
     def test_k4(self):
         cert = find_odd_expansion(complete(4), 4)
@@ -243,6 +344,23 @@ class TestFindOddExpansion:
             for t in (2, 3):
                 got = find_odd_expansion(g, t) is not None
                 assert got == has_odd_expansion_naive(g, t), (g.sorted_edges(), t)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_agrees_with_spanning_tree_oracle_on_six_vertices(self, p):
+        for seed in range(20):
+            g = gnp(6, p, 8000 + seed)
+            for t in (3, 4):
+                got = find_odd_expansion(g, t) is not None
+                assert got == has_odd_expansion_naive(g, t), (g.sorted_edges(), t)
+
+    def test_finds_an_odd_k4_needing_a_non_least_connector(self):
+        # No flip vector makes the least cross edges of this map all
+        # monochromatic: a finder that fixes connectors first answers None.
+        cert = find_odd_expansion(NON_LEAST_CONNECTOR_K4, 4)
+        assert cert is not None
+        assert verify_odd_expansion(NON_LEAST_CONNECTOR_K4, cert).passed
+        assert [sorted(tr.vertices) for tr in cert.base.trees] == [[0, 2, 5], [1], [3], [4]]
+        assert has_odd_expansion_naive(NON_LEAST_CONNECTOR_K4, 4)
 
     @pytest.mark.parametrize("name,g", small_corpus(8))
     def test_found_certificates_verify(self, name, g):
