@@ -11,12 +11,12 @@ input, 3 search/coloring budget exceeded.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import os
 import sys
+from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 from . import coloring as _coloring
 from . import minors as _minors
@@ -35,93 +35,133 @@ from .minors import (
 from .partition import compute_partition, parse_partition, render_partition, verify_partition
 from .quotient import QuotientGraph, build_quotient, parse_quotient, render_quotient, verify_quotient
 
-GRAPH_COMMANDS = frozenset(
-    {"partition", "quotient", "color", "find-minor", "find-odd-minor", "verify", "lift", "report"}
-)
-
 _ENV_BUDGETS = (
     ("max_vertices", "ODDMINORS_MAX_VERTICES", _coloring.DEFAULT_MAX_VERTICES),
     ("max_nodes", "ODDMINORS_MAX_NODES", _coloring.DEFAULT_MAX_NODES),
     ("max_assignments", "ODDMINORS_MAX_ASSIGNMENTS", _minors.DEFAULT_MAX_ASSIGNMENTS),
 )
 
+# A flag is (option strings, type, default, help).  The type is int, str or a
+# tuple of allowed values.  Option strings without a leading dash name the
+# positional words, as in ``gen``'s spec.
+_GRAPH = (
+    (("-i", "--input"), str, None, "read the graph from this file, not stdin"),
+    (("--format",), ("auto", "edge-list", "dimacs"), "auto", "input graph format"),
+)
+_T = (("-t",), int, None, "clique size t")
+_CERT = (("--cert",), str, None, "expansion certificate file (verify also takes odd ones)")
+_REUSE = (("--partition",), str, None, "reuse a serialized partition instead of recomputing")
+_MAX_VERTICES = (("--max-vertices",), int, None, "largest graph the exact colorer accepts")
+_MAX_NODES = (("--max-nodes",), int, None, "search-node cap for the exact colorer")
+_MAX_ASSIGNMENTS = (("--max-assignments",), int, None, "cap on (t+1)^n branch-set assignments")
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="oddminors", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def graph_cmd(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("-i", "--input", help="read the graph from this file, not stdin")
-        p.add_argument(
-            "--format",
-            choices=("auto", "edge-list", "dimacs"),
-            default="auto",
-            help="input graph format (default: auto-detect)",
-        )
-        return p
-
-    def budget_args(p: argparse.ArgumentParser, *names: str) -> None:
-        flags = {
-            "max_vertices": "largest graph the exact colorer accepts",
-            "max_nodes": "search-node cap for the exact colorer",
-            "max_assignments": "cap on (t+1)^n branch-set assignments",
-        }
-        for name in names:
-            p.add_argument(
-                "--" + name.replace("_", "-"), type=int, default=None, help=flags[name]
-            )
-
-    p = sub.add_parser("gen", help="emit a generated graph")
-    p.add_argument("spec", nargs="+", help="complete T | cycle N | complete-bipartite A B | gnp N P | petersen")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("edge-list", "dimacs"), default="edge-list")
-
-    graph_cmd("partition", "bipartite-connected partition plus verification")
-
-    p = graph_cmd("quotient", "quotient graph with witness triples")
-    p.add_argument("--partition", help="reuse a serialized partition instead of recomputing")
-
-    p = graph_cmd("color", "color the graph")
-    p.add_argument("--mode", choices=("exact", "heuristic", "composed"), default="composed")
-    p.add_argument("--partition", help="(composed) reuse a serialized partition")
-    budget_args(p, "max_vertices", "max_nodes")
-
-    p = graph_cmd("find-minor", "search for a K_t-expansion")
-    p.add_argument("-t", type=int, required=True)
-    budget_args(p, "max_assignments")
-
-    p = graph_cmd("find-odd-minor", "search for an odd K_t-expansion")
-    p.add_argument("-t", type=int, required=True)
-    budget_args(p, "max_assignments")
-
-    p = graph_cmd("verify", "check a serialized artifact against the graph")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--cert", help="(odd) expansion certificate file")
-    which.add_argument("--coloring", help="coloring file")
-    which.add_argument("--partition", help="partition file")
-    which.add_argument("--quotient", help="quotient file")
-
-    p = graph_cmd("lift", "lift a quotient expansion to an odd expansion")
-    how = p.add_mutually_exclusive_group(required=True)
-    how.add_argument("-t", type=int, help="search the quotient for a K_t-expansion")
-    how.add_argument("--cert", help="expansion certificate for the quotient")
-    budget_args(p, "max_assignments")
-
-    p = graph_cmd("report", "full pipeline narrative for one t")
-    p.add_argument("-t", type=int, required=True)
-    budget_args(p, "max_vertices", "max_nodes", "max_assignments")
-
-    p = sub.add_parser("bench", help="G(n, p) sweep to CSV")
-    p.add_argument("--n", required=True, help="comma list of vertex counts, e.g. 5,8")
-    p.add_argument("--p", required=True, help="comma list of edge probabilities")
-    p.add_argument("--seeds", required=True, help="comma list or range, e.g. 1,2,3 or 1..3")
-    budget_args(p, "max_vertices", "max_nodes")
-
-    return top
+# command -> (help, flags, required flags, flags of which exactly one is given)
+COMMANDS = {
+    "gen": ("emit a generated graph", (
+        (("spec",), str, None, "complete T | cycle N | complete-bipartite A B | gnp N P | petersen"),
+        (("--seed",), int, 0, "seed for gnp"),
+        (("--format",), ("edge-list", "dimacs"), "edge-list", "output graph format"),
+    ), ("spec",), ()),
+    "partition": ("bipartite-connected partition plus verification", _GRAPH, (), ()),
+    "quotient": ("quotient graph with witness triples", _GRAPH + (_REUSE,), (), ()),
+    "color": ("color the graph", _GRAPH + (
+        (("--mode",), ("exact", "heuristic", "composed"), "composed", "coloring method"),
+        _REUSE, _MAX_VERTICES, _MAX_NODES,
+    ), (), ()),
+    "find-minor": ("search for a K_t-expansion", _GRAPH + (_T, _MAX_ASSIGNMENTS), ("-t",), ()),
+    "find-odd-minor": ("search for an odd K_t-expansion", _GRAPH + (_T, _MAX_ASSIGNMENTS), ("-t",), ()),
+    "verify": ("check a serialized artifact against the graph", _GRAPH + (
+        _CERT,
+        (("--coloring",), str, None, "coloring file"),
+        (("--partition",), str, None, "partition file"),
+        (("--quotient",), str, None, "quotient file"),
+    ), (), ("--cert", "--coloring", "--partition", "--quotient")),
+    "lift": ("lift a quotient expansion to an odd expansion",
+             _GRAPH + (_T, _CERT, _MAX_ASSIGNMENTS), (), ("-t", "--cert")),
+    "report": ("full pipeline narrative for one t",
+               _GRAPH + (_T, _MAX_VERTICES, _MAX_NODES, _MAX_ASSIGNMENTS), ("-t",), ()),
+    "bench": ("G(n, p) sweep to CSV", (
+        (("--n",), str, None, "comma list of vertex counts, e.g. 5,8"),
+        (("--p",), str, None, "comma list of edge probabilities"),
+        (("--seeds",), str, None, "comma list or range, e.g. 1,2,3 or 1..3"),
+        _MAX_VERTICES, _MAX_NODES,
+    ), ("--n", "--p", "--seeds"), ()),
+}
 
 
-def _budget(args: argparse.Namespace, name: str) -> int:
+def _usage(command: str, message: str) -> ParseError:
+    return ParseError(f"oddminors {command}: {message} (see 'oddminors {command} -h')")
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["usage: oddminors <command> [flags]", "", "Odd-minor reduction toolkit.", "", "commands:"]
+        lines += [f"  {name:<16}{spec[0]}" for name, spec in COMMANDS.items()]
+        lines += ["", "'oddminors <command> -h' lists the flags of one command."]
+        return "\n".join(lines) + "\n"
+    summary, flags, required, one_of = COMMANDS[command]
+    lines = [f"usage: oddminors {command} [flags]", "", summary, ""]
+    for options, kind, default, text in flags:
+        metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "N" if kind is int else "VALUE"
+        name = options[0] + " ..." if options[0][0] != "-" else f"{', '.join(options)} {metavar}"
+        note = " (required)" if options[-1] in required else ""
+        note += "" if default is None else f" (default: {default})"
+        lines += [f"  {name}", f"      {text}{note}"]
+    if one_of:
+        lines += ["", f"exactly one of {', '.join(one_of)} is required"]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """Parse argv against ``COMMANDS``; None when help was asked for and printed."""
+    command = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help(command if command in COMMANDS else None))
+        return None
+    if command not in COMMANDS:
+        given = "no command given" if command is None else f"unknown command {command!r}"
+        raise ParseError(f"oddminors: {given}; choose from {', '.join(COMMANDS)}")
+    tokens = iter(argv[1:])
+    _, flags, required, one_of = COMMANDS[command]
+    by_option = {option: flag for flag in flags for option in flag[0]}
+    values = {flag[0][-1]: flag[2] for flag in flags}
+    words = []
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            words.append(token)
+            continue
+        option, eq, value = token.partition("=")
+        if option not in by_option and token[:2] in by_option and token[1] != "-":
+            option, eq, value = token[:2], "=", token[2:]  # -t4
+        if option not in by_option:
+            raise _usage(command, f"unrecognized argument {token!r}")
+        options, kind, _, _ = by_option[option]
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _usage(command, f"{option} expects a value")
+        if isinstance(kind, tuple) and value not in kind:
+            raise _usage(command, f"{option}: invalid choice {value!r}, choose from {', '.join(kind)}")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _usage(command, f"{option}: invalid int value {value!r}") from None
+        values[options[-1]] = value
+    if words:
+        positional = next((name for name in values if name[0] != "-"), None)
+        if positional is None:
+            raise _usage(command, f"unrecognized argument {words[0]!r}")
+        values[positional] = words
+    for name in required:
+        if values[name] is None:
+            raise _usage(command, f"{name} is required")
+    if one_of and sum(values[name] is not None for name in one_of) != 1:
+        raise _usage(command, f"give exactly one of {', '.join(one_of)}")
+    return SimpleNamespace(command=command, **{k.lstrip("-").replace("-", "_"): v for k, v in values.items()})
+
+
+def _budget(args: SimpleNamespace, name: str) -> int:
     value = getattr(args, name, None)
     if value is not None:
         return value
@@ -145,8 +185,8 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load_graph(args: argparse.Namespace, stdin_text: str) -> Graph:
-    text = _read(args.input) if args.input else stdin_text
+def _load_graph(args: SimpleNamespace, read_stdin: Callable[[], str]) -> Graph:
+    text = read_stdin() if args.input is None else _read(args.input)
     return parse_graph(text, args.format)
 
 
@@ -157,8 +197,10 @@ def _seed_list(spec: str) -> list[int]:
     return [int(x) for x in spec.split(",")]
 
 
-def _dispatch(argv: list[str], stdin_text: str) -> int:
-    args = _build_parser().parse_args(argv)
+def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
+    args = _parse(argv)
+    if args is None:
+        return 0
 
     if args.command == "gen":
         g = generate(" ".join(args.spec), args.seed)
@@ -169,7 +211,7 @@ def _dispatch(argv: list[str], stdin_text: str) -> int:
     if args.command == "bench":
         return _bench(args)
 
-    g = _load_graph(args, stdin_text)
+    g = _load_graph(args, read_stdin)
 
     if args.command == "partition":
         p = compute_partition(g)
@@ -246,7 +288,7 @@ def _dispatch(argv: list[str], stdin_text: str) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _verify(g: Graph, args: argparse.Namespace):
+def _verify(g: Graph, args: SimpleNamespace):
     if args.cert:
         cert = parse_certificate(_read(args.cert))
         if isinstance(cert, OddExpansionCertificate):
@@ -266,7 +308,7 @@ BENCH_COLUMNS = (
 )
 
 
-def _bench(args: argparse.Namespace) -> int:
+def _bench(args: SimpleNamespace) -> int:
     from .graph import gnp
 
     try:
@@ -279,8 +321,7 @@ def _bench(args: argparse.Namespace) -> int:
         raise ParseError("bench grid must be non-empty")
     max_vertices = _budget(args, "max_vertices")
     max_nodes = _budget(args, "max_nodes")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(BENCH_COLUMNS)
+    sys.stdout.write(",".join(BENCH_COLUMNS) + "\n")
     for n in ns:
         for p in ps:
             for seed in seeds:
@@ -302,29 +343,21 @@ def _bench(args: argparse.Namespace) -> int:
                 except BudgetExceeded:
                     chi_g = None
                 ratio = "" if not chi_h else f"{composed / chi_h:.4f}"
-                writer.writerow(
-                    [
-                        n,
-                        p,
-                        seed,
-                        len(part),
-                        "" if chi_h is None else chi_h,
-                        "" if composed is None else composed,
-                        "" if chi_g is None else chi_g,
-                        ratio,
-                    ]
-                )
+                row = (n, p, seed, len(part), chi_h, composed, chi_g, ratio)
+                sys.stdout.write(",".join("" if x is None else str(x) for x in row) + "\n")
     return 0
 
 
 def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
     """Pure entry point: argv plus stdin text in, (exit code, out, err) back."""
+    return _run(argv, lambda: stdin_text)
+
+
+def _run(argv: list[str], read_stdin: Callable[[], str]) -> tuple[int, str, str]:
     out_buf, err_buf = io.StringIO(), io.StringIO()
     with redirect_stdout(out_buf), redirect_stderr(err_buf):
         try:
-            code = _dispatch(argv, stdin_text)
-        except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 2
+            code = _dispatch(argv, read_stdin)
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2
@@ -338,11 +371,8 @@ def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
 
 
 def main() -> int:
-    argv = sys.argv[1:]
-    stdin_text = ""
-    if argv and argv[0] in GRAPH_COMMANDS and "-i" not in argv and "--input" not in argv:
-        stdin_text = sys.stdin.read()
-    code, out, err = run(argv, stdin_text)
+    # stdin is read only once the parsed command asks for a graph without -i.
+    code, out, err = _run(sys.argv[1:], sys.stdin.read)
     sys.stdout.write(out)
     sys.stderr.write(err)
     return code

@@ -9,8 +9,8 @@ quotient's palette.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import BudgetExceeded, ContractViolation, ParseError
 from .graph import Graph
 from .quotient import QuotientGraph
@@ -20,8 +20,7 @@ DEFAULT_MAX_VERTICES = 16
 DEFAULT_MAX_NODES = 2_000_000
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Color per vertex, indexed by vertex id; colors are 0-based."""
 
     colors: tuple[int, ...]

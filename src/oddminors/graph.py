@@ -8,9 +8,9 @@ greedy algorithm in the package fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._record import Record
 from .errors import ParseError, StructureError
 
 Edge = tuple[int, int]
@@ -75,8 +75,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class TwoSides:
+class TwoSides(Record):
     """The two sides of the unique bipartition of a connected subgraph.
 
     Canonical orientation: the lowest vertex id of the subset is in
@@ -99,8 +98,7 @@ class TwoSides:
         raise KeyError(v)
 
 
-@dataclass(frozen=True)
-class OddCycleWitness:
+class OddCycleWitness(Record):
     """A closed walk of odd length proving a vertex subset non-bipartite.
 
     ``walk[0] == walk[-1]`` and consecutive entries are adjacent; the

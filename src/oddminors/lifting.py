@@ -9,8 +9,7 @@ construction and aborts loudly instead of returning a bad certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .coloring import (
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_VERTICES,
@@ -37,8 +36,7 @@ from .partition import BcpPartition, compute_partition, render_partition
 from .quotient import QuotientGraph, build_quotient
 
 
-@dataclass(frozen=True)
-class LiftedTree:
+class LiftedTree(Record):
     """One blown-up tree: spans G[X_i] for every part i of its quotient tree."""
 
     label: int
@@ -121,8 +119,7 @@ def lift_expansion(
     return OddExpansionCertificate(base, color)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Record):
     """Outcome of the full pipeline on one graph for one t."""
 
     g: Graph

@@ -9,8 +9,7 @@ certificate clause by clause and never trust the finder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import BudgetExceeded, ContractViolation, ParseError, StructureError
 from .graph import Graph
 from .verification import VerificationReport
@@ -19,22 +18,19 @@ from .verification import VerificationReport
 DEFAULT_MAX_ASSIGNMENTS = 100_000_000
 
 
-@dataclass(frozen=True)
-class ExpansionTree:
+class ExpansionTree(Record):
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class ExpansionCertificate:
+class ExpansionCertificate(Record):
     """Trees indexed 0..t-1; connectors keyed by (s, s') with s < s'."""
 
     trees: tuple[ExpansionTree, ...]
     connectors: dict[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class OddExpansionCertificate:
+class OddExpansionCertificate(Record):
     """Expansion plus a {1,2}-coloring of the tree vertices."""
 
     base: ExpansionCertificate

@@ -10,16 +10,15 @@ is what later turns a clique expansion of the quotient into an odd one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 from .errors import ParseError
 from .graph import Graph, TwoSides, connected_components
 from .verification import VerificationReport
 
 
-@dataclass(frozen=True)
-class BcpPartition:
+class BcpPartition(Record):
     """Ordered parts, each stored with its canonical bipartition."""
 
     parts: tuple[TwoSides, ...]

@@ -7,16 +7,14 @@ the lifting step later grabs to pick a monochromatic connecting edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import ParseError, StructureError
 from .graph import Graph, parse_edge_list
 from .partition import BcpPartition, _check_partition
 from .verification import VerificationReport
 
 
-@dataclass(frozen=True)
-class WitnessTriple:
+class WitnessTriple(Record):
     """Vertices u1, u2 on sides A and B of the lower-indexed part, plus a
     common neighbor v in the higher-indexed part; u1v and u2v are edges."""
 
@@ -25,8 +23,7 @@ class WitnessTriple:
     v: int
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
+class QuotientGraph(Record):
     h: Graph
     witnesses: dict[tuple[int, int], WitnessTriple]
     partition: BcpPartition

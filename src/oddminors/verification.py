@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of an independent re-check.
 
     ``failures`` holds one human-readable line per violated property; an

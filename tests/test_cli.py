@@ -2,10 +2,15 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
-from oddminors.cli import BENCH_COLUMNS, run
+import oddminors
+from oddminors import cli
+from oddminors.cli import BENCH_COLUMNS, COMMANDS, run
 
 C5 = "5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
 K4 = "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -295,6 +300,17 @@ class TestBench:
         assert sparse[4:] == ["", "", "", ""]
         assert dense[4] != "" and dense[7] != "" and dense[6] == ""
 
+    def test_rows_match_a_csv_writer_rendering(self):
+        code, out, _ = run(
+            ["bench", "--n", "6,18", "--p", "0.05,0.5", "--seeds", "1..2", "--max-vertices", "4"]
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert any("" in row for row in rows[1:])
+        rendered = io.StringIO()
+        csv.writer(rendered, lineterminator="\n").writerows(rows)
+        assert out == rendered.getvalue()
+
     def test_empty_grid_rejected(self):
         code, _, err = run(["bench", "--n", "", "--p", "0.5", "--seeds", "1"])
         assert code == 2
@@ -315,3 +331,123 @@ class TestUsage:
             first = run(argv, stdin_text=C5)
             second = run(argv, stdin_text=C5)
             assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobnicate"],
+            [],
+            ["partition", "--frobnicate"],
+            ["partition", "stray"],
+            ["find-minor"],
+            ["find-minor", "-t"],
+            ["find-minor", "-t", "x"],
+            ["report", "-tx"],
+            ["partition", "--format", "csv"],
+            ["gen", "cycle", "5", "--format=auto"],
+            ["color", "--mode", "magic"],
+            ["verify"],
+            ["verify", "--coloring", "a.txt", "--partition", "a.txt"],
+            ["lift", "-t", "2", "--cert", "c.txt"],
+            ["lift"],
+            ["gen"],
+            ["gen", "--seed", "7"],
+            ["bench", "--n", "4", "--p", "0.5"],
+            ["report", "--inp", "g.txt", "-t", "3"],
+        ],
+    )
+    def test_usage_errors(self, argv):
+        code, out, err = run(argv, stdin_text=C5)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_top_level_help_lists_every_command(self):
+        for flag in ("-h", "--help"):
+            code, out, err = run([flag])
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: oddminors")
+            for command, (summary, *_rest) in COMMANDS.items():
+                assert f"  {command}" in out and summary in out
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_help_lists_its_flags(self, command):
+        code, out, err = run([command, "-h"], stdin_text=C5)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: oddminors {command}")
+        for options, _kind, _default, text in COMMANDS[command][1]:
+            assert all(option in out for option in options)
+            assert text in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "-t", "3", "--max-assignments", "100000"],
+            ["report", "-t3", "--max-assignments=100000"],
+            ["report", "--max-assignments=100000", "-t=3"],
+            ["report", "--format=edge-list", "-t", "3", "--max-assignments", "100000"],
+        ],
+    )
+    def test_flag_forms_agree(self, argv):
+        assert run(argv, stdin_text=C5) == run(["report", "-t", "3"], stdin_text=C5)
+
+
+class _UnreadableStdin:
+    def read(self):
+        raise AssertionError("stdin must not be read")
+
+
+class TestMainStdin:
+    """main() reads stdin only when the parsed command wants a graph from it."""
+
+    def _main(self, monkeypatch, capsys, *argv, stdin=None):
+        monkeypatch.setattr(sys, "argv", ["oddminors", *argv])
+        monkeypatch.setattr(sys, "stdin", stdin or _UnreadableStdin())
+        code = cli.main()
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("form", ["--input={}", "-i{}", "-i {}", "--input {}"])
+    def test_input_flag_skips_stdin(self, monkeypatch, capsys, tmp_path, form):
+        path = tmp_path / "g.txt"
+        path.write_text(C5)
+        argv = form.format(path).split(" ")
+        code, out, _ = self._main(monkeypatch, capsys, "partition", *argv)
+        assert (code, out) == (0, "0: A=0,2 B=1,3\n1: A=4 B=\nPASS\n")
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [(["partition", "--inp", "g.txt"], 2), (["frobnicate"], 2), (["gen", "cycle", "3"], 0), (["partition", "-h"], 0)],
+    )
+    def test_no_graph_wanted_skips_stdin(self, monkeypatch, capsys, argv, expected):
+        assert self._main(monkeypatch, capsys, *argv)[0] == expected
+
+    def test_graph_read_from_stdin(self, monkeypatch, capsys):
+        code, out, _ = self._main(monkeypatch, capsys, "partition", stdin=io.StringIO(C5))
+        assert (code, out) == (0, "0: A=0,2 B=1,3\n1: A=4 B=\nPASS\n")
+
+
+class TestStartup:
+    HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "csv", "ast", "dis"}
+    LAYERS = ("graph", "partition", "quotient", "coloring", "minors", "lifting")
+
+    def _python(self, *args):
+        src = os.path.dirname(os.path.dirname(oddminors.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    def _modules(self, statement):
+        result = self._python("-c", f"{statement}\nimport sys\nprint(' '.join(sys.modules))")
+        assert result.returncode == 0, result.stderr
+        return set(result.stdout.split())
+
+    def test_cli_import_loads_no_heavy_stdlib_modules(self):
+        floor = self._modules("pass")
+        loaded = self._modules("import oddminors.cli")
+        assert (loaded - floor) & self.HEAVY == set()
+        assert {f"oddminors.{layer}" for layer in self.LAYERS} <= loaded
+
+    def test_help_runs_without_docstrings(self):
+        result = self._python("-OO", "-m", "oddminors.cli", "-h")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "find-odd-minor" in result.stdout

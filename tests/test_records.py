@@ -1,0 +1,133 @@
+"""The record contract every result type keeps: construction, equality,
+hashing, repr and immutability."""
+
+import pytest
+
+from oddminors import (
+    BcpPartition,
+    Coloring,
+    ExpansionCertificate,
+    ExpansionTree,
+    Graph,
+    LiftedTree,
+    OddCycleWitness,
+    OddExpansionCertificate,
+    QuotientGraph,
+    ReductionReport,
+    TwoSides,
+    VerificationReport,
+    WitnessTriple,
+    compute_partition,
+    cycle,
+)
+
+SIDES = TwoSides(side_a=frozenset({0, 2}), side_b=frozenset({1}))
+PARTITION = BcpPartition(parts=(SIDES,))
+TREE = ExpansionTree(vertices=frozenset({0, 1}), edges=frozenset({(0, 1)}))
+CERT = ExpansionCertificate(trees=(TREE,), connectors={})
+QUOTIENT = QuotientGraph(h=Graph(1), witnesses={}, partition=PARTITION)
+
+# (class, field values in declaration order, hashable)
+SAMPLES = [
+    (VerificationReport, {"failures": ("edge 0-1 is monochromatic",)}, True),
+    (Coloring, {"colors": (0, 1, 0)}, True),
+    (TwoSides, {"side_a": frozenset({0, 2}), "side_b": frozenset({1})}, True),
+    (OddCycleWitness, {"walk": (0, 1, 2, 0)}, True),
+    (BcpPartition, {"parts": (SIDES,)}, True),
+    (WitnessTriple, {"u1": 0, "u2": 2, "v": 1}, True),
+    (ExpansionTree, {"vertices": frozenset({0, 1}), "edges": frozenset({(0, 1)})}, True),
+    (ExpansionCertificate, {"trees": (TREE,), "connectors": {}}, False),
+    (OddExpansionCertificate, {"base": CERT, "parity": {0: 1, 1: 2}}, False),
+    (QuotientGraph, {"h": Graph(1), "witnesses": {}, "partition": PARTITION}, False),
+    (
+        LiftedTree,
+        {"label": 0, "parts": (0,), "vertices": frozenset({0}), "edges": frozenset(), "coloring": {0: 1}},
+        False,
+    ),
+    (
+        ReductionReport,
+        {
+            "g": Graph(1), "t": 2, "partition": PARTITION, "quotient": QUOTIENT, "certificate": None,
+            "verification_passed": None, "chi_h": 1, "composed": Coloring((0,)),
+        },
+        False,
+    ),
+]
+IDS = [cls.__name__ for cls, _, _ in SAMPLES]
+
+
+@pytest.mark.parametrize("cls,fields,hashable", SAMPLES, ids=IDS)
+class TestRecordContract:
+    def test_keyword_and_positional_construction_agree(self, cls, fields, hashable):
+        by_keyword = cls(**fields)
+        by_position = cls(*fields.values())
+        assert by_keyword == by_position
+        for name, value in fields.items():
+            assert getattr(by_keyword, name) is value
+
+    def test_equality_is_per_class(self, cls, fields, hashable):
+        record = cls(**fields)
+        assert record == cls(**fields)
+        assert not record != cls(**fields)
+        other_cls, other_fields, _ = SAMPLES[(IDS.index(cls.__name__) + 1) % len(SAMPLES)]
+        assert record != other_cls(**other_fields)
+        assert record != tuple(fields.values())
+
+    def test_equality_follows_the_fields(self, cls, fields, hashable):
+        first = next(iter(fields))
+        changed = dict(fields, **{first: "something else"})
+        assert cls(**fields) != cls(**changed)
+
+    def test_hash_is_over_the_fields(self, cls, fields, hashable):
+        record = cls(**fields)
+        if hashable:
+            assert hash(record) == hash(cls(**fields)) == hash(tuple(fields.values()))
+        else:
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_repr(self, cls, fields, hashable):
+        body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(cls(**fields)) == f"{cls.__name__}({body})"
+
+    def test_assignment_and_deletion_raise(self, cls, fields, hashable):
+        record = cls(**fields)
+        name = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1
+        assert getattr(record, name) is fields[name]
+
+    def test_bad_arguments_raise_type_error(self, cls, fields, hashable):
+        with pytest.raises(TypeError):
+            cls(*fields.values(), None)
+        with pytest.raises(TypeError):
+            cls(**fields, not_a_field=1)
+        if cls is not VerificationReport:
+            with pytest.raises(TypeError):
+                cls()
+
+
+def test_repr_text():
+    assert repr(WitnessTriple(0, 2, 1)) == "WitnessTriple(u1=0, u2=2, v=1)"
+    assert repr(VerificationReport()) == "VerificationReport(failures=())"
+    assert repr(Coloring((0, 1))) == "Coloring(colors=(0, 1))"
+
+
+def test_verification_report_default():
+    assert VerificationReport() == VerificationReport(failures=()) == VerificationReport(())
+    assert VerificationReport().passed
+    assert VerificationReport().render() == "PASS\n"
+
+
+def test_part_of_is_computed_once():
+    p = compute_partition(cycle(5))
+    first = p.part_of
+    assert first == {0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
+    assert p.part_of is first
+    # The cached map is not a field: equality, hash and repr ignore it.
+    fresh = BcpPartition(p.parts)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
