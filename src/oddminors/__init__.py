@@ -25,9 +25,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    OddCycleWitness,
     TwoSides,
-    bipartition_of,
     complete,
     complete_bipartite,
     connected_components,
@@ -81,7 +79,6 @@ __all__ = [
     "Graph",
     "InvariantViolation",
     "LiftedTree",
-    "OddCycleWitness",
     "OddExpansionCertificate",
     "ParseError",
     "QuotientGraph",
@@ -90,7 +87,6 @@ __all__ = [
     "TwoSides",
     "VerificationReport",
     "WitnessTriple",
-    "bipartition_of",
     "build_quotient",
     "color_exact",
     "color_heuristic",

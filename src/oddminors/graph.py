@@ -8,7 +8,7 @@ greedy algorithm in the package fully deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from ._record import Record
 from .errors import ParseError, StructureError
@@ -22,6 +22,12 @@ class Graph:
     Edges are stored normalized as ``(u, v)`` with ``u < v``.  Self-loops
     and out-of-range endpoints are rejected; duplicate edges collapse.
     Instances are immutable: do not mutate ``edges`` or adjacency.
+
+    ``edges`` is a frozenset of the normalized edges, copied from a set
+    filled in input order, so its iteration order depends on that order.
+    The adjacency is one tuple per vertex, built from per-vertex lists
+    sorted in place: about 48 bytes per vertex plus 8 per edge end, and no
+    per-vertex set (216 bytes even when empty) is ever made.
     """
 
     __slots__ = ("n", "edges", "_adj")
@@ -38,13 +44,15 @@ class Graph:
             normalized.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges: frozenset[Edge] = frozenset(normalized)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in normalized:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adj
-        )
+        del normalized  # one edge table at a time while the adjacency is built
+        adj: list = [[] for _ in range(n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        for x, out in enumerate(adj):
+            out.sort()
+            adj[x] = tuple(out)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of ``v`` in ascending id order."""
@@ -98,16 +106,6 @@ class TwoSides(Record):
         raise KeyError(v)
 
 
-class OddCycleWitness(Record):
-    """A closed walk of odd length proving a vertex subset non-bipartite.
-
-    ``walk[0] == walk[-1]`` and consecutive entries are adjacent; the
-    number of edges ``len(walk) - 1`` is odd.
-    """
-
-    walk: tuple[int, ...]
-
-
 def connected_components(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:
     """Partition ``subset`` into the components of the induced subgraph.
 
@@ -135,61 +133,6 @@ def connected_components(g: Graph, subset: Iterable[int]) -> list[frozenset[int]
     return out
 
 
-def is_connected(g: Graph, subset: Iterable[int]) -> bool:
-    members = set(subset)
-    if not members:
-        return True
-    return len(connected_components(g, members)) == 1
-
-
-def bipartition_of(g: Graph, subset: Iterable[int]) -> TwoSides | OddCycleWitness:
-    """Two-color the induced subgraph on ``subset``, or exhibit an odd walk.
-
-    The subset must induce a connected subgraph (a structural requirement:
-    only then is the bipartition unique).  On success the lowest id of the
-    subset lands in side A.  On failure the returned witness is a closed
-    walk of odd length built from two tree paths plus the violating edge.
-    """
-    members = set(subset)
-    if not members:
-        return TwoSides(frozenset(), frozenset())
-    if not is_connected(g, members):
-        raise StructureError(
-            "subset does not induce a connected subgraph; bipartition undefined"
-        )
-    root = min(members)
-    depth = {root: 0}
-    parent: dict[int, int] = {}
-    order = [root]
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for y in g.neighbors(x):
-            if y not in members:
-                continue
-            if y not in depth:
-                depth[y] = depth[x] + 1
-                parent[y] = x
-                order.append(y)
-            elif (depth[y] ^ depth[x]) % 2 == 0:
-                # Same parity: u -> root -> v -> u is a closed odd walk.
-                up = _path_to_root(x, parent)
-                down = _path_to_root(y, parent)
-                walk = up + down[::-1][1:] + (x,)
-                return OddCycleWitness(walk)
-    side_a = frozenset(v for v, d in depth.items() if d % 2 == 0)
-    side_b = frozenset(v for v, d in depth.items() if d % 2 == 1)
-    return TwoSides(side_a, side_b)
-
-
-def _path_to_root(v: int, parent: dict[int, int]) -> tuple[int, ...]:
-    path = [v]
-    while path[-1] in parent:
-        path.append(parent[path[-1]])
-    return tuple(path)
-
-
 # ---------------------------------------------------------------------------
 # Parsing and rendering
 
@@ -198,10 +141,15 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line ``n``, then ``u v`` lines.
 
     ``#`` starts a comment that runs to the end of the line; blank lines
-    are skipped.
+    are skipped.  Edges stream into ``Graph`` as they are read.
     """
+    items = _edge_list_items(text)
+    return Graph(next(items), items)
+
+
+def _edge_list_items(text: str) -> Iterator:
+    """The vertex count, then each validated edge of an edge-list text."""
     n: int | None = None
-    edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -213,6 +161,7 @@ def parse_edge_list(text: str) -> Graph:
             n = _parse_int(parts[0], lineno)
             if n < 0:
                 raise ParseError(f"line {lineno}: vertex count must be non-negative")
+            yield n
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -222,16 +171,23 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {lineno}: vertex id out of range for n={n}")
-        edges.append((u, v))
+        yield u, v
     if n is None:
         raise ParseError("line 1: missing vertex count")
-    return Graph(n, edges)
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse the DIMACS ``.col`` subset: ``p edge n m`` header, 1-based ``e`` lines."""
+    """Parse the DIMACS ``.col`` subset: ``p edge n m`` header, 1-based ``e`` lines.
+
+    Edges stream into ``Graph`` as they are read.
+    """
+    items = _dimacs_items(text)
+    return Graph(next(items), items)
+
+
+def _dimacs_items(text: str) -> Iterator:
+    """The vertex count, then each validated 0-based edge of a DIMACS text."""
     n: int | None = None
-    edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -245,6 +201,7 @@ def parse_dimacs(text: str) -> Graph:
             n = _parse_int(parts[2], lineno)
             if n < 0:
                 raise ParseError(f"line {lineno}: vertex count must be non-negative")
+            yield n
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before 'p edge' header")
@@ -256,12 +213,11 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: self-loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"line {lineno}: vertex id out of range for n={n}")
-            edges.append((u, v))
+            yield u, v
         else:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise ParseError("missing 'p edge n m' header")
-    return Graph(n, edges)
 
 
 def parse_graph(text: str, fmt: str = "auto") -> Graph:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from ._record import Record
 from .errors import ParseError
-from .graph import Graph, TwoSides, connected_components
+from .graph import Graph, TwoSides
 from .verification import VerificationReport
 
 
@@ -104,10 +104,20 @@ def verify_partition(g: Graph, p: BcpPartition) -> VerificationReport:
     per-part connectivity and proper canonical bipartition, and for every
     pair of parts joined by an edge the existence of a witness triple
     (u1, u2 on opposite sides of the lower part, common neighbor v in the
-    higher part).  One pass over the edges, keyed by vertex, serves every
-    part.
+    higher part).
+
+    The check runs on flat per-vertex arrays: the first part holding each
+    vertex and its side there, plus a sparse map for vertices that several
+    parts hold.  One pass over the edges finds same-side edges, one
+    traversal with a stamp array counts the components of every part, and
+    one pass over the vertices finds the witness triples.  Beyond the
+    failures and the triples it allocates O(n) words, and no set per part,
+    in O((n + m) log n) time.
     """
     return VerificationReport(_check_partition(g, p)[0])
+
+
+_A, _B = 1, 2  # side bits: a vertex on both sides of a part has both
 
 
 def _check_partition(
@@ -118,58 +128,93 @@ def _check_partition(
     The witness map (see ``_witness_triples``) is computed only when every
     structural clause holds, and is empty otherwise.
     """
-    seen: dict[int, int] = {}  # in-range vertex -> the first part holding it
+    n = g.n
+    parts = p.parts
+    part_of = [-1] * n  # in-range vertex -> the first part holding it
+    side = bytearray(n)  # its side bits in that part
     more: dict[int, list[int]] = {}  # repeated vertex -> the later parts holding it
-    for i, part in enumerate(p.parts):
-        for v in part.members:
-            if not (0 <= v < g.n):
-                continue
-            if v in seen:
-                more.setdefault(v, []).append(i)
-            else:
-                seen[v] = i
+    flagged: set[int] = set()  # parts holding an out-of-range or repeated vertex
+    for i, part in enumerate(parts):
+        for bit, members in ((_A, part.side_a), (_B, part.side_b)):
+            for v in members:
+                if not (0 <= v < n):
+                    flagged.add(i)
+                elif part_of[v] < 0:
+                    part_of[v] = i
+                    side[v] = bit
+                elif part_of[v] == i:
+                    side[v] |= bit
+                else:
+                    later = more.setdefault(v, [])
+                    if not later or later[-1] != i:
+                        later.append(i)
+                        flagged.add(i)
+
+    def holds(i: int, v: int) -> bool:
+        return part_of[v] == i or i in more.get(v, ())
+
+    def sides(i: int, v: int) -> int:
+        if part_of[v] == i:
+            return side[v]
+        return (v in parts[i].side_a) * _A | (v in parts[i].side_b) * _B
 
     one_side: dict[int, list[str]] = {}
     for u, v in g.edges:
-        if u not in seen or v not in seen:
+        i = part_of[u]
+        if i < 0 or part_of[v] < 0:
             continue
-        for i in (seen[u], *more.get(u, ())):
-            if i == seen[v] or i in more.get(v, ()):
-                part = p.parts[i]
-                same_a = u in part.side_a and v in part.side_a
-                same_b = u in part.side_b and v in part.side_b
-                if same_a or same_b:
-                    one_side.setdefault(i, []).append(
-                        f"part {i}: edge ({u}, {v}) joins two vertices on one side"
-                    )
+        if u in more or v in more:
+            shared = [k for k in (i, *more.get(u, ())) if holds(k, v) and sides(k, u) & sides(k, v)]
+        elif i == part_of[v] and side[u] & side[v]:
+            shared = (i,)
+        else:
+            continue
+        for k in shared:
+            one_side.setdefault(k, []).append(
+                f"part {k}: edge ({u}, {v}) joins two vertices on one side"
+            )
 
     failures: list[str] = []
-    for i, part in enumerate(p.parts):
-        members = part.members
-        if not members:
+    stamp = [-1] * n  # part whose component count last reached the vertex
+    for i, part in enumerate(parts):
+        side_a, side_b = part.side_a, part.side_b
+        if not side_a and not side_b:
             failures.append(f"part {i} is empty")
             continue
-        for v in sorted(members):
-            if not (0 <= v < g.n):
-                failures.append(f"part {i}: vertex {v} out of range")
-            elif seen[v] != i:
-                failures.append(f"vertex {v} appears in parts {seen[v]} and {i}")
-        if part.side_a & part.side_b:
+        if i in flagged:
+            for v in sorted(side_a | side_b):
+                if not (0 <= v < n):
+                    failures.append(f"part {i}: vertex {v} out of range")
+                elif part_of[v] != i:
+                    failures.append(f"vertex {v} appears in parts {part_of[v]} and {i}")
+        if not side_a.isdisjoint(side_b):
             failures.append(f"part {i}: sides overlap")
-        comps = connected_components(g, (v for v in members if 0 <= v < g.n))
-        if len(comps) != 1:
-            failures.append(f"part {i}: induces {len(comps)} components, expected 1")
+        comps = 0
+        for members in (side_a, side_b):
+            for root in members:
+                if not (0 <= root < n) or stamp[root] == i:
+                    continue
+                comps += 1
+                stamp[root] = i
+                stack = [root]
+                while stack:
+                    for w in g.neighbors(stack.pop()):
+                        if stamp[w] != i and holds(i, w):
+                            stamp[w] = i
+                            stack.append(w)
+        if comps != 1:
+            failures.append(f"part {i}: induces {comps} components, expected 1")
         failures.extend(one_side.get(i, ()))
-        if min(members) not in part.side_a:
+        if not side_a or (side_b and min(side_b) < min(side_a)):
             failures.append(f"part {i}: lowest vertex not on side A")
 
-    missing = [v for v in range(g.n) if v not in seen]
+    missing = [v for v in range(n) if part_of[v] < 0]
     if missing:
         failures.append(f"uncovered vertices: {missing}")
     if failures:
         return tuple(failures), {}
 
-    triples = _witness_triples(g, p, seen)
+    triples = _witness_triples(g, part_of, side)
     for (i, j), triple in triples.items():
         if triple is None:
             failures.append(
@@ -179,16 +224,16 @@ def _check_partition(
 
 
 def _witness_triples(
-    g: Graph, p: BcpPartition, part_of: dict[int, int]
+    g: Graph, part_of: list[int], side: bytearray
 ) -> dict[tuple[int, int], tuple[int, int, int] | None]:
     """Every pair (i, j), i < j, of parts joined by an edge, in ascending
     order, mapped to ``find_witness_triple(g, p, i, j)``.
 
-    ``p`` must be a valid partition of g's vertices, and ``part_of`` maps
-    each vertex to its part.  One pass over the vertices in ascending id:
-    the first v of part j that has neighbors on both sides of part i is the
-    least such v, and its least neighbor on each side comes first in its
-    ascending adjacency.
+    The partition must be valid for g: ``part_of`` maps each vertex to its
+    part, and ``side`` holds exactly one of ``_A``, ``_B`` per vertex.  One
+    pass over the vertices in ascending id: the first v of part j that has
+    neighbors on both sides of part i is the least such v, and its least
+    neighbor on each side comes first in its ascending adjacency.
     """
     triples: dict[tuple[int, int], tuple[int, int, int] | None] = {}
     for v in range(g.n):
@@ -197,7 +242,7 @@ def _witness_triples(
         for w in g.neighbors(v):
             i = part_of[w]
             if i < j and triples.setdefault((i, j), None) is None:
-                least[w in p.parts[i].side_b].setdefault(i, w)
+                least[side[w] == _B].setdefault(i, w)
         for i, u1 in least[0].items():
             u2 = least[1].get(i)
             if u2 is not None:
@@ -233,6 +278,8 @@ def render_partition(p: BcpPartition) -> str:
 
 
 def parse_partition(text: str) -> BcpPartition:
+    """Inverse of ``render_partition``.  An id may not repeat within a side
+    field; one id on both sides of a part parses, and fails verification."""
     parts: list[TwoSides] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -244,17 +291,30 @@ def parse_partition(text: str) -> BcpPartition:
             a_field, b_field = rest.split()
             if not a_field.startswith("A=") or not b_field.startswith("B="):
                 raise ValueError
-            side_a = _parse_ids(a_field[2:])
-            side_b = _parse_ids(b_field[2:])
+            ids_a = _parse_ids(a_field[2:])
+            ids_b = _parse_ids(b_field[2:])
         except ValueError:
             raise ParseError(f"line {lineno}: expected 'i: A=<ids> B=<ids>'") from None
         if idx != len(parts):
             raise ParseError(f"line {lineno}: part index {idx} out of order")
+        side_a = _distinct(ids_a, "A", lineno)
+        side_b = _distinct(ids_b, "B", lineno)
         parts.append(TwoSides(side_a, side_b))
     return BcpPartition(tuple(parts))
 
 
-def _parse_ids(field: str) -> frozenset[int]:
+def _parse_ids(field: str) -> list[int]:
     if not field:
-        return frozenset()
-    return frozenset(int(tok) for tok in field.split(","))
+        return []
+    return [int(tok) for tok in field.split(",")]
+
+
+def _distinct(ids: list[int], name: str, lineno: int) -> frozenset[int]:
+    out = frozenset(ids)
+    if len(out) < len(ids):
+        seen: set[int] = set()
+        for v in ids:
+            if v in seen:
+                raise ParseError(f"line {lineno}: vertex {v} repeated on side {name}")
+            seen.add(v)
+    return out

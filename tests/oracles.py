@@ -7,6 +7,7 @@ in the library cannot hide itself in the tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations, product
 
 from oddminors import (
@@ -17,9 +18,13 @@ from oddminors import (
     ExpansionTree,
     Graph,
     OddExpansionCertificate,
+    ParseError,
+    StructureError,
     TwoSides,
     VerificationReport,
 )
+
+Edge = tuple[int, int]
 
 
 def _adj(g: Graph) -> list[set[int]]:
@@ -511,3 +516,113 @@ def _frozen_two_color_tree(edges: frozenset[tuple[int, int]], root: int) -> dict
                 color[w] = 3 - color[u]
                 stack.append(w)
     return color
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the graph constructor and the two graph parsers as they
+# were before adjacency was built from per-vertex lists and parsed edges
+# streamed into the constructor: per-vertex sets, and a full edge list per
+# parse.  ``FrozenGraph`` is a ``Graph`` whose ``__init__`` is the old body,
+# verbatim, so ``==``, ``hash`` and every accessor compare directly; the
+# parser bodies are verbatim but for their names and the type they build.
+
+
+class FrozenGraph(Graph):
+    __slots__ = ()
+
+    def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        if n < 0:
+            raise StructureError(f"vertex count must be non-negative, got {n}")
+        normalized = set()
+        for u, v in edges:
+            if u == v:
+                raise StructureError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise StructureError(f"edge ({u}, {v}) out of range for n={n}")
+            normalized.add((u, v) if u < v else (v, u))
+        self.n = n
+        self.edges: frozenset[Edge] = frozenset(normalized)
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for u, v in normalized:
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(s)) for s in adj
+        )
+
+
+def frozen_parse_edge_list(text: str) -> FrozenGraph:
+    """Parse the edge-list format: first line ``n``, then ``u v`` lines.
+
+    ``#`` starts a comment that runs to the end of the line; blank lines
+    are skipped.
+    """
+    n: int | None = None
+    edges: list[Edge] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if n is None:
+            if len(parts) != 1:
+                raise ParseError(f"line {lineno}: expected vertex count, got {line!r}")
+            n = _frozen_parse_int(parts[0], lineno)
+            if n < 0:
+                raise ParseError(f"line {lineno}: vertex count must be non-negative")
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
+        u = _frozen_parse_int(parts[0], lineno)
+        v = _frozen_parse_int(parts[1], lineno)
+        if u == v:
+            raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"line {lineno}: vertex id out of range for n={n}")
+        edges.append((u, v))
+    if n is None:
+        raise ParseError("line 1: missing vertex count")
+    return FrozenGraph(n, edges)
+
+
+def frozen_parse_dimacs(text: str) -> FrozenGraph:
+    """Parse the DIMACS ``.col`` subset: ``p edge n m`` header, 1-based ``e`` lines."""
+    n: int | None = None
+    edges: list[Edge] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise ParseError(f"line {lineno}: duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ParseError(f"line {lineno}: expected 'p edge n m', got {line!r}")
+            n = _frozen_parse_int(parts[2], lineno)
+            if n < 0:
+                raise ParseError(f"line {lineno}: vertex count must be non-negative")
+        elif parts[0] == "e":
+            if n is None:
+                raise ParseError(f"line {lineno}: edge before 'p edge' header")
+            if len(parts) != 3:
+                raise ParseError(f"line {lineno}: expected 'e u v', got {line!r}")
+            u = _frozen_parse_int(parts[1], lineno) - 1
+            v = _frozen_parse_int(parts[2], lineno) - 1
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop at vertex {u + 1}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"line {lineno}: vertex id out of range for n={n}")
+            edges.append((u, v))
+        else:
+            raise ParseError(f"line {lineno}: unrecognized line {line!r}")
+    if n is None:
+        raise ParseError("missing 'p edge n m' header")
+    return FrozenGraph(n, edges)
+
+
+def _frozen_parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected integer, got {token!r}") from None

@@ -62,6 +62,20 @@ class TestGraphInput:
         code, out, _ = run(["verify", "--partition", str(art)], stdin_text="3\n0 1\n1 2\n")
         assert (code, out) == (0, "PASS\n")
 
+    def test_repeated_id_in_partition_line(self, tmp_path):
+        art = tmp_path / "p.txt"
+        art.write_text("0: A=0,0,2 B=1\n")
+        code, out, err = run(["verify", "--partition", str(art)], stdin_text="3\n0 1\n1 2\n")
+        assert (code, out) == (2, "")
+        assert "line 1: vertex 0 repeated on side A" in err
+
+    def test_id_on_both_sides_is_a_verify_failure(self, tmp_path):
+        art = tmp_path / "p.txt"
+        art.write_text("0: A=0,2 B=1,0\n")
+        code, out, _ = run(["verify", "--partition", str(art)], stdin_text="3\n0 1\n1 2\n")
+        assert code == 1
+        assert out.startswith("FAIL") and "part 0: sides overlap" in out
+
     def test_garbage_graph(self):
         code, _, err = run(["partition"], stdin_text="5\n0 one\n")
         assert code == 2

@@ -1,16 +1,15 @@
 """Graph type, parsers/renderers, generators, and the seeded PRNG."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddminors import (
     Graph,
-    OddCycleWitness,
     ParseError,
     StructureError,
-    TwoSides,
-    bipartition_of,
     complete,
     complete_bipartite,
     connected_components,
@@ -22,7 +21,9 @@ from oddminors import (
     render_dimacs,
     render_edge_list,
 )
+from corpus import small_corpus
 from oddminors.graph import SplitMix64, detect_format, parse_dimacs, parse_edge_list
+from oracles import FrozenGraph, frozen_parse_dimacs, frozen_parse_edge_list
 
 MASK = (1 << 64) - 1
 
@@ -199,50 +200,6 @@ class TestRandom:
         assert gnp(n, p, seed).sorted_edges() == expected
 
 
-class TestBipartition:
-    def test_even_cycle_is_bipartite(self):
-        sides = bipartition_of(cycle(6), range(6))
-        assert isinstance(sides, TwoSides)
-        assert sides.side_a == frozenset({0, 2, 4})
-
-    def test_min_vertex_lands_on_side_a(self):
-        sides = bipartition_of(Graph(4, [(2, 3)]), [2, 3])
-        assert sides.side_a == frozenset({2})
-
-    def test_odd_cycle_yields_walk(self):
-        g = cycle(5)
-        witness = bipartition_of(g, range(5))
-        assert isinstance(witness, OddCycleWitness)
-        walk = witness.walk
-        assert walk[0] == walk[-1]
-        assert len(walk) % 2 == 0  # closed walk with odd edge count
-        for a, b in zip(walk, walk[1:]):
-            assert g.has_edge(a, b)
-
-    def test_disconnected_subset_rejected(self):
-        with pytest.raises(StructureError):
-            bipartition_of(Graph(4, [(0, 1), (2, 3)]), range(4))
-
-    @given(graphs(max_n=8))
-    @settings(max_examples=60)
-    def test_matches_two_coloring_oracle(self, g):
-        from oracles import brute_is_bipartite
-
-        for comp in connected_components(g, range(g.n)):
-            result = bipartition_of(g, comp)
-            inner = [(u, v) for u, v in g.edges if u in comp and v in comp]
-            relabel = {v: k for k, v in enumerate(sorted(comp))}
-            bip = brute_is_bipartite(
-                Graph(len(comp), [(relabel[u], relabel[v]) for u, v in inner])
-            )
-            if bip:
-                assert isinstance(result, TwoSides)
-                for u, v in inner:
-                    assert (u in result.side_a) != (v in result.side_a)
-            else:
-                assert isinstance(result, OddCycleWitness)
-
-
 class TestComponents:
     def test_components_ordered_by_min_vertex(self):
         g = Graph(6, [(4, 5), (0, 1), (2, 1)])
@@ -253,3 +210,141 @@ class TestComponents:
         g = cycle(6)
         comps = connected_components(g, [0, 1, 3])
         assert comps == [frozenset({0, 1}), frozenset({3})]
+
+
+# ---------------------------------------------------------------------------
+# The constructor and the parsers against their frozen copies in
+# tests/oracles.py: same adjacency, same edge set in the same iteration
+# order, same equality and hash, and the same error text for bad input.
+
+
+def assert_same_graph(new, old):
+    assert type(new) is Graph and type(old) is FrozenGraph
+    assert new.n == old.n and new.m == old.m
+    assert [new.neighbors(v) for v in range(new.n)] == [old.neighbors(v) for v in range(old.n)]
+    assert new.edges == old.edges
+    assert list(new.edges) == list(old.edges)
+    assert new == old and old == new
+    assert hash(new) == hash(old)
+
+
+def edge_list_text(n, edges):
+    return "".join([f"{n}\n"] + [f"{u} {v}\n" for u, v in edges])
+
+
+def dimacs_text(n, edges):
+    return "".join([f"p edge {n} {len(edges)}\n"] + [f"e {u + 1} {v + 1}\n" for u, v in edges])
+
+
+def assert_same_everywhere(n, edges):
+    """Constructor and both parsers agree with the frozen copies on one input."""
+    assert_same_graph(Graph(n, edges), FrozenGraph(n, edges))
+    text = edge_list_text(n, edges)
+    assert_same_graph(parse_edge_list(text), frozen_parse_edge_list(text))
+    text = dimacs_text(n, edges)
+    assert_same_graph(parse_dimacs(text), frozen_parse_dimacs(text))
+
+
+def messy_edges(n, m, seed):
+    """m uniform edges of G(n, m) in shuffled order, each reversed with
+    probability 1/2, plus about m/10 repeats."""
+    rng = random.Random(seed)
+    edges = set()
+    m = min(m, n * (n - 1) // 2)
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    out = sorted(edges)
+    out += rng.sample(out, len(out) // 10)
+    rng.shuffle(out)
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in out]
+
+
+@st.composite
+def edge_inputs(draw, max_n=12):
+    """(n, edges) with duplicates, reversed pairs and isolated vertices."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if n < 2:
+        return n, []
+    ends = st.integers(min_value=0, max_value=n - 1)
+    pairs = st.tuples(ends, ends).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pairs, max_size=3 * n))
+
+
+GOLDEN_ERRORS = [
+    ('edge-list', '', 'line 1: missing vertex count'),
+    ('edge-list', '# only a comment\n\n', 'line 1: missing vertex count'),
+    ('edge-list', 'two\n', "line 1: expected integer, got 'two'"),
+    ('edge-list', '3 4\n', "line 1: expected vertex count, got '3 4'"),
+    ('edge-list', '-1\n', 'line 1: vertex count must be non-negative'),
+    ('edge-list', '2\n0 1 2\n', "line 2: expected 'u v', got '0 1 2'"),
+    ('edge-list', '\n# c\n3\n0 x\n', "line 4: expected integer, got 'x'"),
+    ('edge-list', '3\n1 1\n', 'line 2: self-loop at vertex 1'),
+    ('edge-list', '2\n0 5\n', 'line 2: vertex id out of range for n=2'),
+    ('edge-list', '3\n0 1\n\n2 -1\n', 'line 4: vertex id out of range for n=3'),
+    ('edge-list', '3\n0 1 # ok\n1\n', "line 3: expected 'u v', got '1'"),
+    ('edge-list', '3\n0 1\n0 1.5\n', "line 3: expected integer, got '1.5'"),
+    ('edge-list', '3\r\n0 1\r\n1 x\r\n', "line 3: expected integer, got 'x'"),
+    ('edge-list', '3\n0 1\x0c1 x\n', "line 3: expected integer, got 'x'"),
+    ('edge-list', '3\n0 1\n1 2\n2 0\n0 3\n', 'line 5: vertex id out of range for n=3'),
+    ('edge-list', '3\n0 1\n0 1\n1 2 # x\n2 2\n', 'line 5: self-loop at vertex 2'),
+    ('dimacs', '', "missing 'p edge n m' header"),
+    ('dimacs', 'c hi\n', "missing 'p edge n m' header"),
+    ('dimacs', 'e 1 2\n', "line 1: edge before 'p edge' header"),
+    ('dimacs', 'p edge 3 1\ne 0 1\n', 'line 2: vertex id out of range for n=3'),
+    ('dimacs', 'p edge 3 1\np edge 3 1\n', 'line 2: duplicate problem line'),
+    ('dimacs', 'p col 3 1\n', "line 1: expected 'p edge n m', got 'p col 3 1'"),
+    ('dimacs', 'p edge 3\n', "line 1: expected 'p edge n m', got 'p edge 3'"),
+    ('dimacs', 'p edge x 1\n', "line 1: expected integer, got 'x'"),
+    ('dimacs', 'p edge -2 0\n', 'line 1: vertex count must be non-negative'),
+    ('dimacs', 'p edge 3 1\ne 1\n', "line 2: expected 'e u v', got 'e 1'"),
+    ('dimacs', 'p edge 3 1\ne 2 2\n', 'line 2: self-loop at vertex 2'),
+    ('dimacs', 'p edge 3 1\nx 1 2\n', "line 2: unrecognized line 'x 1 2'"),
+    ('dimacs', 'p edge 3 1\ne 1 4\n', 'line 2: vertex id out of range for n=3'),
+    ('dimacs', 'c a\n\np edge 2 1\ne 1 y\n', "line 4: expected integer, got 'y'"),
+    ('dimacs', 'p edge 3 2\ne 1 2\ne 2 1\ne 3 3\n', 'line 4: self-loop at vertex 3'),
+    ('dimacs', 'p edge 3 1\ne 1 2\nc tail\n# note\n', "line 4: unrecognized line '# note'"),
+]
+
+
+class TestAgainstFrozenGraph:
+    @pytest.mark.parametrize("name,g", small_corpus(40))
+    def test_corpus(self, name, g):
+        edges = list(g.edges)
+        assert_same_everywhere(g.n, edges)
+        assert_same_everywhere(g.n, [(v, u) for u, v in reversed(edges)] + edges[:3])
+
+    @given(edge_inputs())
+    @settings(max_examples=200)
+    def test_random_edge_lists(self, case):
+        assert_same_everywhere(*case)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 3000])
+    def test_seeded_sparse(self, n):
+        for seed in range(2):
+            assert_same_everywhere(n, messy_edges(n, n, seed))
+
+    def test_isolated_vertices_have_empty_neighbors(self):
+        g = Graph(5, [(3, 1)])
+        assert [g.neighbors(v) for v in range(5)] == [(), (3,), (), (1,), ()]
+        assert_same_graph(g, FrozenGraph(5, [(3, 1)]))
+
+    def test_constructor_errors_unchanged(self):
+        for n, edges in ((-1, []), (3, [(0, 1), (2, 2)]), (3, [(0, 1), (1, 3)]), (2, [(-1, 0)])):
+            with pytest.raises(StructureError) as new:
+                Graph(n, edges)
+            with pytest.raises(StructureError) as old:
+                FrozenGraph(n, edges)
+            assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("fmt,text,message", GOLDEN_ERRORS)
+    def test_golden_parse_errors(self, fmt, text, message):
+        parse, frozen = {
+            "edge-list": (parse_edge_list, frozen_parse_edge_list),
+            "dimacs": (parse_dimacs, frozen_parse_dimacs),
+        }[fmt]
+        for f in (parse, frozen, lambda t: parse_graph(t, fmt)):
+            with pytest.raises(ParseError) as exc:
+                f(text)
+            assert str(exc.value) == message

@@ -11,6 +11,7 @@ from oddminors import (
     BcpPartition,
     Graph,
     ParseError,
+    StructureError,
     TwoSides,
     build_quotient,
     complete,
@@ -104,6 +105,69 @@ def assert_same_as_frozen(g):
             assert new == old, kind
 
 
+def more_corruptions(g, p, seed):
+    """Further broken copies of p, by name, for the kinds of damage that
+    take the verifier's less common paths.  A kind the partition cannot
+    show (no part with an inner edge, say) is left out."""
+    rng = random.Random(seed)
+    parts = [(set(part.side_a), set(part.side_b)) for part in p.parts]
+    giant = max(range(len(parts)), key=lambda i: len(parts[i][0]) + len(parts[i][1]))
+    out = {"empty_appended": parts + [(set(), set())]}
+
+    def copy():
+        return [(set(a), set(b)) for a, b in parts]
+
+    def move(broken, i, v):
+        a, b = broken[i]
+        src, dst = (a, b) if v in a else (b, a)
+        src.remove(v)
+        dst.add(v)
+
+    a, b = parts[giant]
+    inner = sorted(v for v in a | b if any(w in a | b for w in g.neighbors(v)))
+    if inner:
+        # Moving a vertex across puts it on one side with its part-neighbors.
+        broken = copy()
+        move(broken, giant, rng.choice([v for v in inner if v != min(a | b)] or inner))
+        out["same_side_in_giant"] = broken
+        broken = copy()
+        move(broken, giant, min(a | b))
+        out["least_on_side_b"] = broken
+    broken = copy()
+    v = rng.randrange(g.n)
+    home = p.part_of[v]
+    broken[home][1 - (v in parts[home][1])].add(v)
+    out["overlap"] = broken
+
+    # A vertex in two parts, on one side with a part-neighbor in each.
+    for x in rng.sample(range(g.n), g.n):
+        home = p.part_of[x]
+        mates = [w for w in g.neighbors(x) if p.part_of[w] == home]
+        others = [w for w in g.neighbors(x) if p.part_of[w] != home]
+        if mates and others:
+            broken = copy()
+            move(broken, home, x)
+            z = rng.choice(others)
+            there = p.part_of[z]
+            broken[there][z in parts[there][1]].add(x)
+            out["repeated_same_side"] = broken
+            break
+    return {
+        kind: BcpPartition(tuple(sides(a, b) for a, b in broken))
+        for kind, broken in out.items()
+    }
+
+
+def assert_more_corruptions_as_frozen(g):
+    p = compute_partition(g)
+    for kind, broken in more_corruptions(g, p, g.n + g.m).items():
+        new = verify_partition(g, broken)
+        assert new == frozen_verify_partition(g, broken), kind
+        assert not new.passed, kind
+        with pytest.raises(StructureError, match="partition fails verification"):
+            build_quotient(g, broken)
+
+
 class TestComputePartition:
     def test_c5_absorbs_greedily_from_lowest_id(self):
         # seed {0}; 1 and 3 join side B via vertex 0, then 2 joins side A
@@ -183,6 +247,48 @@ class TestAgainstFrozenCopy:
         g = complete(5)
         for kind, broken in corruptions(g, compute_partition(g), 1).items():
             assert not verify_partition(g, broken).passed, kind
+
+
+class TestMoreCorruptionsAgainstFrozenCopy:
+    """Equal failure reports to the frozen verifier on the damage kinds of
+    ``more_corruptions``: a same-side edge inside the largest part, an
+    appended empty part, a least vertex on side B, a vertex on both sides
+    of its part, and a vertex held by two parts with a same-side edge in
+    each."""
+
+    @pytest.mark.parametrize("name,g", corpus())
+    def test_corpus(self, name, g):
+        if g.n:
+            assert_more_corruptions_as_frozen(g)
+
+    @given(graphs(max_n=12))
+    @settings(max_examples=60)
+    def test_random_graphs(self, g):
+        if g.n:
+            assert_more_corruptions_as_frozen(g)
+
+    @pytest.mark.parametrize("n", [10, 50, 150, 400])
+    def test_sparse_graphs(self, n):
+        for seed in range(3):
+            assert_more_corruptions_as_frozen(sparse_graph(n, n, seed))
+
+    def test_every_kind_is_drawn(self):
+        g = sparse_graph(150, 150, 0)
+        kinds = more_corruptions(g, compute_partition(g), 1)
+        assert set(kinds) == {
+            "empty_appended", "same_side_in_giant", "least_on_side_b", "overlap",
+            "repeated_same_side",
+        }
+
+    def test_repeated_vertex_reports_both_parts(self):
+        # Vertex 1 sits on side A with its neighbor 0 in part 0, and on side
+        # B with its neighbor 2 in part 1.
+        g = Graph(3, [(0, 1), (1, 2)])
+        broken = BcpPartition((sides([0, 1], []), sides([], [1, 2])))
+        report = verify_partition(g, broken)
+        assert report == frozen_verify_partition(g, broken)
+        assert "part 0: edge (0, 1) joins two vertices on one side" in report.failures
+        assert "part 1: edge (1, 2) joins two vertices on one side" in report.failures
 
 
 def test_scale_guard():
@@ -272,6 +378,20 @@ class TestSerialization:
     def test_trailing_comments(self):
         text = "# two parts\n0: A=0,2 B=1  # note\n1: A=3 B=#\n"
         assert parse_partition(text) == BcpPartition((sides([0, 2], [1]), sides([3], [])))
+
+    def test_repeated_id_within_a_side_is_rejected(self):
+        for text, message in (
+            ("0: A=0,0,2 B=1\n", "line 1: vertex 0 repeated on side A"),
+            ("0: A=0 B=1\n# next\n1: A=2 B=3,4,3\n", "line 3: vertex 3 repeated on side B"),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse_partition(text)
+            assert str(exc.value) == message
+
+    def test_id_on_both_sides_parses_and_fails_verification(self):
+        p = parse_partition("0: A=0 B=0\n")
+        assert p == BcpPartition((sides([0], [0]),))
+        assert verify_partition(Graph(1), p).failures == ("part 0: sides overlap",)
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

@@ -10,7 +10,6 @@ from oddminors import (
     ExpansionTree,
     Graph,
     LiftedTree,
-    OddCycleWitness,
     OddExpansionCertificate,
     QuotientGraph,
     ReductionReport,
@@ -32,7 +31,6 @@ SAMPLES = [
     (VerificationReport, {"failures": ("edge 0-1 is monochromatic",)}, True),
     (Coloring, {"colors": (0, 1, 0)}, True),
     (TwoSides, {"side_a": frozenset({0, 2}), "side_b": frozenset({1})}, True),
-    (OddCycleWitness, {"walk": (0, 1, 2, 0)}, True),
     (BcpPartition, {"parts": (SIDES,)}, True),
     (WitnessTriple, {"u1": 0, "u2": 2, "v": 1}, True),
     (ExpansionTree, {"vertices": frozenset({0, 1}), "edges": frozenset({(0, 1)})}, True),
