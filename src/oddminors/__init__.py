@@ -28,7 +28,6 @@ from .graph import (
     TwoSides,
     complete,
     complete_bipartite,
-    connected_components,
     cycle,
     generate,
     gnp,
@@ -94,7 +93,6 @@ __all__ = [
     "complete_bipartite",
     "compose_coloring",
     "compute_partition",
-    "connected_components",
     "contraction_check",
     "cycle",
     "find_expansion",

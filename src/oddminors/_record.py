@@ -3,42 +3,56 @@
 from __future__ import annotations
 
 
-class Record:
+class _RecordType(type):
+    """Builds a record class whose ``__slots__`` are its fields (its own
+    annotations, in order) and any slots it lists itself.  A class attribute
+    named like a field moves to ``_defaults``; ``_setters`` holds each field
+    slot's ``__set__``, which fills the slot past ``__setattr__``.
+    """
+
+    def __new__(mcs, name: str, bases: tuple, ns: dict) -> type:
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        ns["_fields"] = fields
+        ns["__slots__"] = fields + tuple(ns.get("__slots__", ()))
+        cls = super().__new__(mcs, name, bases, ns)
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+        return cls
+
+
+class Record(metaclass=_RecordType):
     """Immutable record whose fields are the subclass's annotations, in order.
 
     A class attribute named like a field is that field's default.  Records
     take positional or keyword arguments, equal only records of the same
     class with equal fields, hash over the fields, print as
     ``Name(field=value, ...)`` and raise ``AttributeError`` on assignment
-    and deletion.  They keep a ``__dict__``, so ``functools.cached_property``
-    works on them.
+    and deletion.  The fields live in ``__slots__``: a record has no
+    ``__dict__`` unless its class lists ``"__dict__"`` in ``__slots__``,
+    as it must for ``functools.cached_property``.
     """
 
-    _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
-
-    def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-
     def __init__(self, *args: object, **kwargs: object) -> None:
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for field in fields[len(args):]:
-            if field in kwargs:
-                values[field] = kwargs.pop(field)
-            elif field in self._defaults:
-                values[field] = self._defaults[field]
-            else:
-                raise TypeError(f"{name}() missing argument {field!r}")
-        if kwargs:
-            raise TypeError(f"{name}() got an unexpected keyword argument {next(iter(kwargs))!r}")
-        self.__dict__.update(values)
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bind keywords and defaults
+            name = type(self).__name__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+            args = list(args)
+            for field in fields[len(args):]:
+                if field in kwargs:
+                    args.append(kwargs.pop(field))
+                elif field in self._defaults:
+                    args.append(self._defaults[field])
+                else:
+                    raise TypeError(f"{name}() missing argument {field!r}")
+            if kwargs:
+                raise TypeError(f"{name}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -51,6 +65,9 @@ class Record:
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

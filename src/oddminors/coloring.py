@@ -184,11 +184,12 @@ def compose_coloring(q: QuotientGraph, c_h: Coloring) -> Coloring:
         raise ContractViolation(
             "quotient coloring is not proper: " + "; ".join(report.failures)
         )
-    n = sum(len(part.members) for part in q.partition.parts)
-    raw: list[int] = [-1] * n
-    for i, part in enumerate(q.partition.parts):
-        for v in part.members:
-            raw[v] = 2 * c_h.colors[i] + part.side_of(v)
+    parts = q.partition.parts
+    raw: list[int] = [-1] * sum(len(part.side_a) + len(part.side_b) for part in parts)
+    for color, part in zip(c_h.colors, parts):
+        for bit, side in enumerate((part.side_a, part.side_b)):
+            for v in side:
+                raw[v] = 2 * color + bit
     rank = {c: k for k, c in enumerate(sorted(set(raw)))}
     return Coloring(tuple(rank[c] for c in raw))
 

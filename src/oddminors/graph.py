@@ -106,33 +106,6 @@ class TwoSides(Record):
         raise KeyError(v)
 
 
-def connected_components(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:
-    """Partition ``subset`` into the components of the induced subgraph.
-
-    Components are returned in ascending order of their minimum vertex id.
-    """
-    members = set(subset)
-    for v in members:
-        if not (0 <= v < g.n):
-            raise StructureError(f"vertex {v} out of range for n={g.n}")
-    out: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for start in sorted(members):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in g.neighbors(x):
-                if y in members and y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Parsing and rendering
 
@@ -161,6 +134,7 @@ def _edge_list_items(text: str) -> Iterator:
             n = _parse_int(parts[0], lineno)
             if n < 0:
                 raise ParseError(f"line {lineno}: vertex count must be non-negative")
+            ids = list(range(n))  # one int object per id, shared by all its edges
             yield n
             continue
         if len(parts) != 2:
@@ -171,7 +145,7 @@ def _edge_list_items(text: str) -> Iterator:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {lineno}: vertex id out of range for n={n}")
-        yield u, v
+        yield ids[u], ids[v]
     if n is None:
         raise ParseError("line 1: missing vertex count")
 
@@ -201,6 +175,7 @@ def _dimacs_items(text: str) -> Iterator:
             n = _parse_int(parts[2], lineno)
             if n < 0:
                 raise ParseError(f"line {lineno}: vertex count must be non-negative")
+            ids = list(range(n))  # one int object per id, shared by all its edges
             yield n
         elif parts[0] == "e":
             if n is None:
@@ -213,7 +188,7 @@ def _dimacs_items(text: str) -> Iterator:
                 raise ParseError(f"line {lineno}: self-loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"line {lineno}: vertex id out of range for n={n}")
-            yield u, v
+            yield ids[u], ids[v]
         else:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:

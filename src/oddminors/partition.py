@@ -21,6 +21,7 @@ from .verification import VerificationReport
 class BcpPartition(Record):
     """Ordered parts, each stored with its canonical bipartition."""
 
+    __slots__ = ("__dict__",)  # room for the cached ``part_of``
     parts: tuple[TwoSides, ...]
 
     def __len__(self) -> int:
@@ -91,7 +92,7 @@ def compute_partition(g: Graph) -> BcpPartition:
                     seen[w] |= bit
         for v in touched:
             seen[v] = 0
-        parts.append(TwoSides(frozenset(sides[0]), frozenset(sides[1])))
+        parts.append(TwoSides(_side(sides[0]), _side(sides[1])))
         while seed < n and not unused[seed]:
             seed += 1
     return BcpPartition(tuple(parts))
@@ -309,8 +310,15 @@ def _parse_ids(field: str) -> list[int]:
     return [int(tok) for tok in field.split(",")]
 
 
+_NO_IDS: frozenset[int] = frozenset()  # the one empty side all partitions share
+
+
+def _side(ids: list[int]) -> frozenset[int]:
+    return frozenset(ids) if ids else _NO_IDS
+
+
 def _distinct(ids: list[int], name: str, lineno: int) -> frozenset[int]:
-    out = frozenset(ids)
+    out = _side(ids)
     if len(out) < len(ids):
         seen: set[int] = set()
         for v in ids:

@@ -12,7 +12,6 @@ from oddminors import (
     StructureError,
     complete,
     complete_bipartite,
-    connected_components,
     cycle,
     generate,
     gnp,
@@ -198,18 +197,6 @@ class TestRandom:
                 if (next(draws) >> 11) * 2.0**-53 < p:
                     expected.append((u, v))
         assert gnp(n, p, seed).sorted_edges() == expected
-
-
-class TestComponents:
-    def test_components_ordered_by_min_vertex(self):
-        g = Graph(6, [(4, 5), (0, 1), (2, 1)])
-        comps = connected_components(g, range(6))
-        assert comps == [frozenset({0, 1, 2}), frozenset({3}), frozenset({4, 5})]
-
-    def test_subset_restriction(self):
-        g = cycle(6)
-        comps = connected_components(g, [0, 1, 3])
-        assert comps == [frozenset({0, 1}), frozenset({3})]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,95 @@
+"""Structural memory layout of parsed and computed objects.
+
+No byte counts: these hold on every supported Python.  Records keep their
+fields in slots, every empty partition side is one shared frozenset, and
+a parsed graph holds one int object per vertex id.
+"""
+
+import copy
+import pickle
+import random
+
+import pytest
+
+from oddminors import (
+    BcpPartition,
+    ExpansionTree,
+    Graph,
+    TwoSides,
+    WitnessTriple,
+    build_quotient,
+    complete,
+    compute_partition,
+    find_expansion,
+    parse_graph,
+    parse_partition,
+    render_dimacs,
+    render_edge_list,
+    render_partition,
+)
+
+
+def sparse_graph(n: int, m: int, seed: int) -> Graph:
+    """G(n, m): m distinct uniform edges, drawn in a seeded order."""
+    rng = random.Random(seed)
+    chosen: dict[tuple[int, int], None] = {}
+    while len(chosen) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            chosen[(u, v) if u < v else (v, u)] = None
+    return Graph(n, chosen)
+
+
+@pytest.fixture(scope="module")
+def g3000() -> Graph:
+    return sparse_graph(3000, 3000, seed=7)
+
+
+def test_records_have_no_dict(g3000):
+    p = compute_partition(g3000)
+    q = build_quotient(g3000, p)
+    cert = find_expansion(complete(4), 4)
+    records = [*p.parts, *q.witnesses.values(), *cert.trees]
+    assert {type(r) for r in records} == {TwoSides, WitnessTriple, ExpansionTree}
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        with pytest.raises(TypeError):
+            vars(record)
+
+
+def test_partition_keeps_a_dict_for_its_cached_map():
+    p = BcpPartition((TwoSides(frozenset({0}), frozenset({1})),))
+    assert p.part_of == {0: 0, 1: 0}
+    assert vars(p) == {"part_of": {0: 0, 1: 0}}
+
+
+def test_every_empty_side_is_one_object(g3000):
+    computed = compute_partition(g3000)
+    parsed = parse_partition(render_partition(computed) + f"{len(computed)}: A= B=\n")
+    assert parsed.parts[:-1] == computed.parts
+    empty = [side for p in (computed, parsed) for part in p.parts
+             for side in (part.side_a, part.side_b) if not side]
+    assert len(empty) > 100  # most parts of a sparse graph are lone vertices
+    assert len({id(side) for side in empty}) == 1
+
+
+@pytest.mark.parametrize("render", [render_edge_list, render_dimacs], ids=["edge-list", "dimacs"])
+def test_parsed_graph_holds_one_int_per_id(g3000, render):
+    g = parse_graph(render(g3000))
+    assert g == g3000
+    objects: dict[int, set[int]] = {}
+    ends = [x for edge in g.edges for x in edge]
+    ends += [w for v in range(g.n) for w in g.neighbors(v)]
+    for x in ends:
+        objects.setdefault(x, set()).add(id(x))
+    assert len(objects) > 2000
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_records_copy_and_pickle(g3000):
+    p = compute_partition(g3000)
+    q = build_quotient(g3000, p)
+    for record in (p, p.parts[0], next(iter(q.witnesses.values())), q):
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
