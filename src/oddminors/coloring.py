@@ -12,7 +12,7 @@ import time
 
 from ._record import Record
 from .errors import BudgetExceeded, ContractViolation, ParseError
-from .graph import Graph
+from .graph import Graph, _Reader
 from .quotient import QuotientGraph
 from .verification import VerificationReport
 
@@ -204,23 +204,20 @@ def parse_coloring(text: str) -> Coloring:
     """Inverse of render_coloring; vertex lines must be 0,1,... in order."""
     header = None
     colors: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2 or fields[0] != "palette":
-                raise ParseError(f"line {lineno}: expected 'palette k', got {raw!r}")
-            header = int(fields[1])
-            continue
-        try:
+    with _Reader(text, "#", "expected 'palette k', got {raw!r}") as lines:
+        for lineno, line in lines:
+            fields = line.split()
+            if header is None:
+                word, count = fields
+                if word != "palette":
+                    raise ValueError
+                header = int(count)
+                lines.detail = "cannot parse color line {raw!r}"  # for every later line
+                continue
             v, c = (int(x) for x in fields)
-        except ValueError:
-            raise ParseError(f"line {lineno}: cannot parse color line {raw!r}") from None
-        if v != len(colors):
-            raise ParseError(f"line {lineno}: expected vertex {len(colors)}, got {v}")
-        colors.append(c)
+            if v != len(colors):
+                raise ParseError(f"line {lineno}: expected vertex {len(colors)}, got {v}")
+            colors.append(c)
     if header is None:
         raise ParseError("coloring is empty")
     out = Coloring(tuple(colors))

@@ -97,17 +97,55 @@ class TwoSides(Record):
     def members(self) -> frozenset[int]:
         return self.side_a | self.side_b
 
-    def side_of(self, v: int) -> int:
-        """0 for side A, 1 for side B."""
-        if v in self.side_a:
-            return 0
-        if v in self.side_b:
-            return 1
-        raise KeyError(v)
-
 
 # ---------------------------------------------------------------------------
 # Parsing and rendering
+
+
+def _lines(text: str, comment: str | None) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)``, stripped, for each line of ``text`` with more than a comment.
+
+    Numbered as ``str.splitlines`` splits, so a form feed ends a line too.
+    With ``comment`` ``"#"`` a ``#`` starts a comment that runs to the end of
+    its line; with ``"c"`` (DIMACS) so does a ``c`` that starts a line.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = (raw.split("#", 1)[0] if comment == "#" else raw).strip()
+        if line and not (comment == "c" and line[0] == "c"):
+            yield lineno, line
+
+
+class _Reader:
+    """One parse's pass over ``_lines(text, comment)``, and its error rule.
+
+    Iterating yields the same pairs and keeps the line number.  Used as a
+    context manager around that loop, it is the one place where a malformed
+    field becomes a ``ParseError``: a ValueError or IndexError raised in the
+    body (a failed ``int()``, a wrong unpack arity) leaves as ``ParseError(
+    "line N: <detail>")``, with line N as written put in for ``{raw!r}``.
+    With ``own`` set, a ValueError with a message of its own gives that
+    message instead.
+    """
+
+    __slots__ = ("text", "comment", "detail", "own", "lineno")
+
+    def __init__(self, text: str, comment: str | None, detail: str = "", own: bool = False) -> None:
+        self.text, self.comment, self.detail, self.own = text, comment, detail, own
+        self.lineno = 0
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        for self.lineno, line in _lines(self.text, self.comment):
+            yield self.lineno, line
+
+    def __enter__(self) -> _Reader:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is ValueError or kind is IndexError:
+            detail = str(exc) if self.own and kind is ValueError else ""
+            if not detail:
+                detail = self.detail.format(raw=self.text.splitlines()[self.lineno - 1])
+            raise ParseError(f"line {self.lineno}: {detail}") from None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -116,22 +154,20 @@ def parse_edge_list(text: str) -> Graph:
     ``#`` starts a comment that runs to the end of the line; blank lines
     are skipped.  Edges stream into ``Graph`` as they are read.
     """
-    items = _edge_list_items(text)
-    return Graph(next(items), items)
+    with _Reader(text, "#", own=True) as lines:
+        items = _edge_list_items(lines)
+        return Graph(next(items), items)
 
 
-def _edge_list_items(text: str) -> Iterator:
-    """The vertex count, then each validated edge of an edge-list text."""
+def _edge_list_items(lines: Iterable[tuple[int, str]]) -> Iterator:
+    """The vertex count, then each validated edge, of edge-list lines."""
     n: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         parts = line.split()
         if n is None:
             if len(parts) != 1:
                 raise ParseError(f"line {lineno}: expected vertex count, got {line!r}")
-            n = _parse_int(parts[0], lineno)
+            n = _int(parts[0])
             if n < 0:
                 raise ParseError(f"line {lineno}: vertex count must be non-negative")
             ids = list(range(n))  # one int object per id, shared by all its edges
@@ -139,8 +175,8 @@ def _edge_list_items(text: str) -> Iterator:
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
-        u = _parse_int(parts[0], lineno)
-        v = _parse_int(parts[1], lineno)
+        u = _int(parts[0])
+        v = _int(parts[1])
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -155,24 +191,22 @@ def parse_dimacs(text: str) -> Graph:
 
     Edges stream into ``Graph`` as they are read.
     """
-    items = _dimacs_items(text)
-    return Graph(next(items), items)
+    with _Reader(text, "c", own=True) as lines:
+        items = _dimacs_items(lines)
+        return Graph(next(items), items)
 
 
-def _dimacs_items(text: str) -> Iterator:
-    """The vertex count, then each validated 0-based edge of a DIMACS text."""
+def _dimacs_items(lines: Iterable[tuple[int, str]]) -> Iterator:
+    """The vertex count, then each validated 0-based edge, of DIMACS lines."""
     n: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in lines:
         parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise ParseError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(f"line {lineno}: expected 'p edge n m', got {line!r}")
-            n = _parse_int(parts[2], lineno)
+            n = _int(parts[2])
             if n < 0:
                 raise ParseError(f"line {lineno}: vertex count must be non-negative")
             ids = list(range(n))  # one int object per id, shared by all its edges
@@ -182,8 +216,8 @@ def _dimacs_items(text: str) -> Iterator:
                 raise ParseError(f"line {lineno}: edge before 'p edge' header")
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'e u v', got {line!r}")
-            u = _parse_int(parts[1], lineno) - 1
-            v = _parse_int(parts[2], lineno) - 1
+            u = _int(parts[1]) - 1
+            v = _int(parts[2]) - 1
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
@@ -210,13 +244,8 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
 
 
 def detect_format(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(("p", "c")):
-            return "dimacs"
-        return "edge-list"
+    for _, line in _lines(text, None):
+        return "dimacs" if line.startswith(("p", "c")) else "edge-list"
     return "edge-list"
 
 
@@ -330,8 +359,8 @@ def generate(spec: str, seed: int = 0) -> Graph:
     )
 
 
-def _parse_int(token: str, lineno: int) -> int:
+def _int(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"line {lineno}: expected integer, got {token!r}") from None
+        raise ValueError(f"expected integer, got {token!r}") from None

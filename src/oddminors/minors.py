@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import BudgetExceeded, ContractViolation, ParseError, StructureError
-from .graph import Graph
+from .graph import Graph, _Reader
 from .verification import VerificationReport
 
 # (t+1)^n must stay under this; covers n=10 at t=5 (6^10 ~ 60.5M).
@@ -37,41 +37,56 @@ class OddExpansionCertificate(Record):
     parity: dict[int, int]
 
 
+def _bfs(neighbors, root: int, inside) -> dict[int, int]:
+    """Breadth-first search from ``root`` through the vertices in ``inside``.
+
+    ``neighbors(v)`` lists the neighbors of v.  Returns the parent of every
+    vertex reached, the root being its own parent, keyed in the order the
+    search reaches them: each parent comes before its children.
+    """
+    parent = {root: root}
+    queue = [root]
+    for u in queue:
+        for w in neighbors(u):
+            if w in inside and w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def _tree_edges(parent: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The edges of a ``_bfs`` tree, in the order the search reached their children."""
+    return tuple((u, v) if u < v else (v, u) for v, u in parent.items() if u != v)
+
+
+def _depth_parity(parent: dict[int, int]) -> dict[int, int]:
+    """Color 1 at even depth and 2 at odd depth of a ``_bfs`` tree."""
+    color: dict[int, int] = {}
+    for v, u in parent.items():
+        color[v] = 3 - color[u] if u != v else 1
+    return color
+
+
 def bfs_tree_edges(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """Breadth-first spanning tree of g[vertices], rooted at the lowest id."""
     if not vertices:
         return ()
-    root = min(vertices)
-    seen = {root}
-    queue = [root]
-    edges: list[tuple[int, int]] = []
-    while queue:
-        u = queue.pop(0)
-        for w in g.neighbors(u):
-            if w in vertices and w not in seen:
-                seen.add(w)
-                queue.append(w)
-                edges.append((u, w) if u < w else (w, u))
-    if len(seen) != len(vertices):
+    parent = _bfs(g.neighbors, min(vertices), vertices)
+    if len(parent) != len(vertices):
         raise StructureError(f"vertex set {sorted(vertices)} induces a disconnected subgraph")
-    return tuple(edges)
+    return _tree_edges(parent)
 
 
 def two_color_tree(edges: frozenset[tuple[int, int]], root: int) -> dict[int, int]:
-    """Proper {1,2}-coloring of a tree given by its edges; root gets 1."""
+    """Proper {1,2}-coloring of a tree given by its edges; root gets 1.
+
+    Only the vertices that the edges join to the root get a color.
+    """
     adj: dict[int, list[int]] = {root: []}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    color = {root: 1}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in color:
-                color[w] = 3 - color[u]
-                stack.append(w)
-    return color
+    return _depth_parity(_bfs(adj.__getitem__, root, adj))
 
 
 def _tree_violation(g: Graph, s: int, tree: ExpansionTree, claimed: dict[int, int]) -> str | None:
@@ -94,21 +109,9 @@ def _tree_violation(g: Graph, s: int, tree: ExpansionTree, claimed: dict[int, in
             f"tree {s} has {len(tree.edges)} edges for {len(tree.vertices)} vertices, "
             "not a spanning tree"
         )
-    # With |E| = |V|-1, connectivity alone rules out cycles.
-    adj: dict[int, list[int]] = {v: [] for v in tree.vertices}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    root = min(tree.vertices)
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(tree.vertices):
+    # With |E| = |V|-1, connectivity alone rules out cycles.  The coloring
+    # reaches exactly the vertices connected to the root.
+    if len(two_color_tree(tree.edges, min(tree.vertices))) != len(tree.vertices):
         return f"tree {s} is not connected by its edges"
     return None
 
@@ -356,20 +359,14 @@ def _search(g: Graph, t: int, max_assignments: int, odd: bool):
     return search(0, 0)
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return out
-
-
 def _certify(g: Graph, class_masks: list[int], odd: bool):
     t = len(class_masks)
-    classes = [frozenset(_bits(m)) for m in class_masks]
+    classes = [frozenset(v for v in range(g.n) if m >> v & 1) for m in class_masks]
+    # Each class is connected, so its search reaches all of it.
+    parents = [_bfs(g.neighbors, min(cls), cls) for cls in classes]
     trees = tuple(
-        ExpansionTree(cls, frozenset(bfs_tree_edges(g, cls))) for cls in classes
+        ExpansionTree(cls, frozenset(_tree_edges(parent)))
+        for cls, parent in zip(classes, parents)
     )
     # Every edge between the two trees of a pair, least first.
     cross = {
@@ -384,12 +381,13 @@ def _certify(g: Graph, class_masks: list[int], odd: bool):
     }
     if not odd:
         return ExpansionCertificate(trees, {pair: edges[0] for pair, edges in cross.items()})
-    # Canonical coloring per tree; flipping a tree's colors is the only
-    # freedom left.  A cross edge (u, v) of pair (a, b) is monochromatic
-    # exactly when flip[a] ^ flip[b] == [color(u) != color(v)], an XOR
-    # equation.  A parity union-find holds the equations taken so far; each
-    # root is the least tree of its component and stays unflipped.
-    canon = [two_color_tree(tree.edges, min(tree.vertices)) for tree in trees]
+    # Canonical coloring per tree: the depth parity of the search that built
+    # it.  Flipping a tree's colors is the only freedom left.  A cross edge
+    # (u, v) of pair (a, b) is monochromatic exactly when flip[a] ^ flip[b]
+    # == [color(u) != color(v)], an XOR equation.  A parity union-find holds
+    # the equations taken so far; each root is the least tree of its
+    # component and stays unflipped.
+    canon = [_depth_parity(parent) for parent in parents]
     color = {v: c for col in canon for v, c in col.items()}
     root = list(range(t))
     rel = [0] * t  # flip[s] ^ flip[root[s]]
@@ -458,11 +456,8 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
     parity: dict[int, int] = {}
     expected = None  # number of trees, once the header is seen
     section = "header"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
+    with _Reader(text, "#", "cannot parse certificate line {raw!r}", own=True) as lines:
+        for _, line in lines:
             if section == "header":
                 head, count = line.split()
                 if head != "trees":
@@ -513,11 +508,6 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
                 parity[v] = c
             else:
                 raise ValueError
-        except ParseError:
-            raise
-        except ValueError as exc:
-            detail = str(exc) or f"cannot parse certificate line {raw!r}"
-            raise ParseError(f"line {lineno}: {detail}") from None
     if expected is None:
         raise ParseError("certificate is empty")
     if len(trees) != expected:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from ._record import Record
 from .errors import ParseError
-from .graph import Graph, TwoSides
+from .graph import Graph, TwoSides, _Reader
 from .verification import VerificationReport
 
 
@@ -228,13 +228,16 @@ def _witness_triples(
     g: Graph, part_of: list[int], side: bytearray
 ) -> dict[tuple[int, int], tuple[int, int, int] | None]:
     """Every pair (i, j), i < j, of parts joined by an edge, in ascending
-    order, mapped to ``find_witness_triple(g, p, i, j)``.
+    order, mapped to its least witness triple, or None if it has none.
 
-    The partition must be valid for g: ``part_of`` maps each vertex to its
-    part, and ``side`` holds exactly one of ``_A``, ``_B`` per vertex.  One
-    pass over the vertices in ascending id: the first v of part j that has
-    neighbors on both sides of part i is the least such v, and its least
-    neighbor on each side comes first in its ascending adjacency.
+    A witness triple of (i, j) is (u1, u2, v) with u1 on side A and u2 on
+    side B of part i, and v in part j adjacent to both; the least is the
+    least by (v, u1, u2).  The partition must be valid for g: ``part_of``
+    maps each vertex to its part, and ``side`` holds exactly one of ``_A``,
+    ``_B`` per vertex.  One pass over the vertices in ascending id: the
+    first v of part j that has neighbors on both sides of part i is the
+    least such v, and its least neighbor on each side comes first in its
+    ascending adjacency.
     """
     triples: dict[tuple[int, int], tuple[int, int, int] | None] = {}
     for v in range(g.n):
@@ -249,20 +252,6 @@ def _witness_triples(
             if u2 is not None:
                 triples[(i, j)] = (u1, u2, v)
     return dict(sorted(triples.items()))
-
-
-def find_witness_triple(
-    g: Graph, p: BcpPartition, i: int, j: int
-) -> tuple[int, int, int] | None:
-    """Least triple (u1, u2, v): u1 in side A, u2 in side B of part i,
-    v in part j adjacent to both.  Ordered by (v, u1, u2)."""
-    low = p.parts[i]
-    for v in sorted(p.members(j)):
-        in_a = sorted(w for w in g.neighbors(v) if w in low.side_a)
-        in_b = sorted(w for w in g.neighbors(v) if w in low.side_b)
-        if in_a and in_b:
-            return in_a[0], in_b[0], v
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +271,8 @@ def parse_partition(text: str) -> BcpPartition:
     """Inverse of ``render_partition``.  An id may not repeat within a side
     field; one id on both sides of a part parses, and fails verification."""
     parts: list[TwoSides] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
+    with _Reader(text, "#", "expected 'i: A=<ids> B=<ids>'") as lines:
+        for lineno, line in lines:
             head, rest = line.split(":", 1)
             idx = int(head)
             a_field, b_field = rest.split()
@@ -294,13 +280,11 @@ def parse_partition(text: str) -> BcpPartition:
                 raise ValueError
             ids_a = _parse_ids(a_field[2:])
             ids_b = _parse_ids(b_field[2:])
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected 'i: A=<ids> B=<ids>'") from None
-        if idx != len(parts):
-            raise ParseError(f"line {lineno}: part index {idx} out of order")
-        side_a = _distinct(ids_a, "A", lineno)
-        side_b = _distinct(ids_b, "B", lineno)
-        parts.append(TwoSides(side_a, side_b))
+            if idx != len(parts):
+                raise ParseError(f"line {lineno}: part index {idx} out of order")
+            side_a = _distinct(ids_a, "A", lineno)
+            side_b = _distinct(ids_b, "B", lineno)
+            parts.append(TwoSides(side_a, side_b))
     return BcpPartition(tuple(parts))
 
 

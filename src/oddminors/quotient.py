@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import ParseError, StructureError
-from .graph import Graph, parse_edge_list
+from .graph import Graph, _edge_list_items, _Reader
 from .partition import BcpPartition, _check_partition
 from .verification import VerificationReport
 
@@ -108,28 +108,26 @@ def render_quotient(q: QuotientGraph) -> str:
 
 
 def parse_quotient(text: str) -> tuple[Graph, dict[tuple[int, int], WitnessTriple]]:
-    """Inverse of render_quotient, minus the partition (not serialized)."""
-    graph_lines: list[str] = []
+    """Inverse of render_quotient, minus the partition (not serialized).
+
+    Witness lines are read first, then the edge lines, under their own numbers.
+    """
     witnesses: dict[tuple[int, int], WitnessTriple] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("w "):
-            if witnesses:
-                raise ParseError(f"line {lineno}: edge line after witness lines")
-            graph_lines.append(line)
-            continue
-        try:
+    with _Reader(text, "#", "cannot parse witness {raw!r}") as lines:
+        for lineno, line in lines:
+            if not line.startswith("w "):
+                if witnesses:
+                    raise ParseError(f"line {lineno}: edge line after witness lines")
+                continue
             pair_part, triple_part = line[2:].split(":")
             i, j = (int(x) for x in pair_part.split())
             u1, u2, v = (int(x) for x in triple_part.split())
-        except ValueError:
-            raise ParseError(f"line {lineno}: cannot parse witness {raw!r}") from None
-        if (i, j) in witnesses:
-            raise ParseError(f"line {lineno}: duplicate witness for edge ({i}, {j})")
-        witnesses[(i, j)] = WitnessTriple(u1, u2, v)
-    h = parse_edge_list("\n".join(graph_lines) + "\n")
+            if (i, j) in witnesses:
+                raise ParseError(f"line {lineno}: duplicate witness for edge ({i}, {j})")
+            witnesses[(i, j)] = WitnessTriple(u1, u2, v)
+    with _Reader(text, "#", own=True) as lines:
+        items = _edge_list_items(item for item in lines if not item[1].startswith("w "))
+        h = Graph(next(items), items)
     missing = sorted(set(h.edges) - set(witnesses))
     extra = sorted(set(witnesses) - set(h.edges))
     if missing:

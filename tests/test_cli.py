@@ -1,16 +1,19 @@
 """Command-line surface: output bytes, exit codes, budgets, file handling."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
 import sys
 
 import pytest
+from corpus import corpus
 
 import oddminors
 from oddminors import cli
 from oddminors.cli import BENCH_COLUMNS, COMMANDS, run
+from oddminors.graph import render_edge_list
 
 C5 = "5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
 K4 = "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -247,6 +250,89 @@ class TestVerifySubcommand:
             ["verify", "--coloring", str(a), "--partition", str(a)], stdin_text=C5
         )
         assert code == 2
+
+
+class TestMalformedArtifacts:
+    """Malformed artifact lines exit 2 with an error naming the line."""
+
+    def _verify(self, tmp_path, flag, artifact):
+        art = tmp_path / "artifact.txt"
+        art.write_text(artifact)
+        return run(["verify", flag, str(art)], stdin_text=C5)
+
+    def test_non_integer_palette(self, tmp_path):
+        result = self._verify(tmp_path, "--coloring", "palette x\n0 0\n")
+        assert result == (2, "", "error: line 1: expected 'palette k', got 'palette x'\n")
+
+    def test_tree_line_without_label(self, tmp_path):
+        result = self._verify(tmp_path, "--cert", "trees 1\nT : 0 /\n")
+        assert result == (2, "", "error: line 2: cannot parse certificate line 'T : 0 /'\n")
+
+    def test_quotient_edge_error_names_its_own_line(self, tmp_path):
+        result = self._verify(tmp_path, "--quotient", "# hdr\n\n2\n0 1 7\nw 0 1 : 0 1 2\n")
+        assert result == (2, "", "error: line 4: expected 'u v', got '0 1 7'\n")
+
+
+class TestGoldenStdout:
+    """Byte-identical output on a fixed corpus slice, pinned by sha256.
+
+    The digests were captured before the line-format layer and the BFS
+    kernel were rewritten.  Each command's stream is the concatenation, over
+    every third graph of ``tests/corpus.py``, of the graph's name, the exit
+    code and stdout.  The ``verify`` streams read back the artifacts the
+    other commands wrote, so they cover every parser; they also take stderr,
+    which pins the errors for artifacts that are not certificates (NOT FOUND,
+    a budget refusal).
+    """
+
+    COMMANDS = {
+        "partition": ["partition"],
+        "quotient": ["quotient"],
+        "color": ["color"],
+        "find-minor": ["find-minor", "-t", "4"],
+        "find-odd-minor": ["find-odd-minor", "-t", "4"],
+        "report": ["report", "-t", "3"],
+    }
+    # verify flag -> the command whose stdout is its artifact
+    ARTIFACTS = {
+        "--partition": "partition",
+        "--quotient": "quotient",
+        "--coloring": "color",
+        "--cert": "find-odd-minor",
+    }
+    DIGESTS = {
+        "partition": "8066ad25cab465ec72b7e72f938cf4ec3f66f988c624e9589a4842a336c142b9",
+        "quotient": "9b425375654ed70cffadd8f3c606113f701434106773815d9331f7ff94713812",
+        "color": "abd93c7ecacdd59f7aaa5df1501d0105bd7108cf54d4cdb8004172deb4ad5b49",
+        "find-minor": "59fd27c2ed647e1766703e5c0cda6a44386176a0bd0a065446732296244e00b0",
+        "find-odd-minor": "f87fa1218e7acdc68913d494ade3146a9150f7dd6fc36aae4264edd7724fec97",
+        "report": "623004446d9eac8ff04d064139fdb77ecc1485cca03253864ef9e932656f1691",
+        # Every artifact the CLI wrote passes, so these three streams agree.
+        "verify --partition": "acb9205dfa3122839e8d83f39a6a03a11ba807b0691b18fe876240070b88bad1",
+        "verify --quotient": "acb9205dfa3122839e8d83f39a6a03a11ba807b0691b18fe876240070b88bad1",
+        "verify --coloring": "acb9205dfa3122839e8d83f39a6a03a11ba807b0691b18fe876240070b88bad1",
+        "verify --cert": "36e7887a7bf357c5cbcb537d2766d490e2b8af28ba48c50d0615e1ce0ab2b654",
+    }
+
+    def test_stdout_digests(self, tmp_path):
+        keys = [*self.COMMANDS, *(f"verify {flag}" for flag in self.ARTIFACTS)]
+        digests = {key: hashlib.sha256() for key in keys}
+        art = tmp_path / "artifact.txt"
+        for name, g in corpus()[::3]:
+            text = render_edge_list(g)
+            outs = {}
+            for key, argv in self.COMMANDS.items():
+                code, out, _ = run(argv, stdin_text=text)
+                outs[key] = out
+                digests[key].update(f"{name}\n{code}\n{out}".encode())
+            for flag, key in self.ARTIFACTS.items():
+                artifact = outs[key]
+                if key == "partition":  # drop the PASS / FAIL report line
+                    artifact = artifact[: artifact.rindex("\n", 0, len(artifact) - 1) + 1]
+                art.write_text(artifact)
+                code, out, err = run(["verify", flag, str(art)], stdin_text=text)
+                digests[f"verify {flag}"].update(f"{name}\n{code}\n{out}{err}".encode())
+        assert {key: h.hexdigest() for key, h in digests.items()} == self.DIGESTS
 
 
 class TestBudgets:

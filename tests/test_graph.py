@@ -1,6 +1,7 @@
 """Graph type, parsers/renderers, generators, and the seeded PRNG."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,11 @@ from oddminors import (
     cycle,
     generate,
     gnp,
+    parse_certificate,
+    parse_coloring,
     parse_graph,
+    parse_partition,
+    parse_quotient,
     petersen,
     render_dimacs,
     render_edge_list,
@@ -293,6 +298,83 @@ GOLDEN_ERRORS = [
     ('dimacs', 'p edge 3 2\ne 1 2\ne 2 1\ne 3 3\n', 'line 4: self-loop at vertex 3'),
     ('dimacs', 'p edge 3 1\ne 1 2\nc tail\n# note\n', "line 4: unrecognized line '# note'"),
 ]
+
+
+# The token alphabet of the parse fuzz tests.  Texts with a digit run longer
+# than three are left out: a parsed vertex count allocates per vertex.
+FUZZ_TOKENS = [
+    *"0123456789", "-", " ", "\n", "\r", "\x0c", "#", ":", "=", ",", "/",
+    "A=", "B=", "T", "conn", "parity", "palette", "trees", "w", "p", "e", "c",
+]
+FUZZ_ARTIFACTS = [
+    "5\n0 1\n0 4 # note\n1 2\n2 3\n3 4\n",
+    "c C5\np edge 5 5\ne 1 2\ne 1 5\ne 2 3\ne 3 4\ne 4 5\n",
+    "0: A=0,2 B=1,3\n1: A=4 B=\n",
+    "2\n0 1\nw 0 1 : 0 3 4\n",
+    "palette 3\n0 0\n1 1\n2 0\n3 1\n4 2\n",
+    "trees 3\nT 1: 0,1,2 / 0-1,1-2\nT 2: 3 /\nT 3: 4 /\n"
+    "conn 1 2 : 2 3\nconn 1 3 : 0 4\nconn 2 3 : 3 4\nparity 0 : 1\nparity 1 : 2\n",
+]
+PARSERS = {
+    "auto": parse_graph,
+    "edge-list": parse_edge_list,
+    "dimacs": parse_dimacs,
+    "partition": parse_partition,
+    "coloring": parse_coloring,
+    "quotient": parse_quotient,
+    "certificate": parse_certificate,
+}
+_LONG_NUMBER = re.compile(r"\d{4}")
+token_texts = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map("".join)
+
+
+@st.composite
+def near_artifacts(draw):
+    """A valid artifact with up to three short spans replaced by tokens."""
+    text = draw(st.sampled_from(FUZZ_ARTIFACTS))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        j = draw(st.integers(min_value=i, max_value=min(len(text), i + 3)))
+        text = text[:i] + draw(st.sampled_from(FUZZ_TOKENS + [""])) + text[j:]
+    return text
+
+
+class TestParsersFailOnlyWithParseError:
+    """Every parser either parses a text or raises ParseError.
+
+    A ``line N:`` prefix names a line of the text (line 1 also for a text
+    with no lines, where the vertex count is missing), and a line quoted at
+    the end of the message is on line N.
+    """
+
+    @staticmethod
+    def check(text):
+        lines = text.splitlines()
+        for name, parse in PARSERS.items():
+            try:
+                parse(text)
+            except ParseError as exc:
+                message = str(exc)
+                at = re.match(r"line (\d+): ", message)
+                if at is None:
+                    continue
+                lineno = int(at.group(1))
+                assert 1 <= lineno <= max(1, len(lines)), (name, message)
+                # The line, field or token quoted at the end: "got '...'",
+                # "line '...'", "witness '...'" or int()'s "base 10: '...'".
+                quoted = re.search(r"(?:got|line|witness|10:) '([^']*)'$", message)
+                if quoted:
+                    assert quoted.group(1) in lines[lineno - 1], (name, message)
+
+    @given(token_texts.filter(lambda t: not _LONG_NUMBER.search(t)))
+    @settings(max_examples=400)
+    def test_token_texts(self, text):
+        self.check(text)
+
+    @given(near_artifacts().filter(lambda t: not _LONG_NUMBER.search(t)))
+    @settings(max_examples=400)
+    def test_near_artifacts(self, text):
+        self.check(text)
 
 
 class TestAgainstFrozenGraph:

@@ -21,7 +21,6 @@ from oddminors import (
     render_partition,
     verify_partition,
 )
-from oddminors.partition import find_witness_triple
 from oracles import (
     frozen_compute_partition,
     frozen_verify_partition,
@@ -342,21 +341,27 @@ class TestVerifyPartition:
 
 
 class TestWitnessTriples:
+    """The stored witness of a quotient edge is its least triple by (v, u1, u2)."""
+
+    @staticmethod
+    def witness(g, pair):
+        w = build_quotient(g, compute_partition(g)).witnesses[pair]
+        return w.u1, w.u2, w.v
+
     def test_c5_witness_is_least_by_common_neighbor(self):
-        g = cycle(5)
-        p = compute_partition(g)
-        assert find_witness_triple(g, p, 0, 1) == (0, 3, 4)
+        assert self.witness(cycle(5), (0, 1)) == (0, 3, 4)
 
     def test_k5_witnesses(self):
         g = complete(5)
-        p = compute_partition(g)
-        assert find_witness_triple(g, p, 0, 1) == (0, 1, 2)
-        assert find_witness_triple(g, p, 1, 2) == (2, 3, 4)
+        assert self.witness(g, (0, 1)) == (0, 1, 2)
+        assert self.witness(g, (1, 2)) == (2, 3, 4)
 
     def test_singleton_lower_part_has_no_witness(self):
         g = Graph(3, [(0, 1), (1, 2)])
         p = BcpPartition((sides([0], []), sides([1], []), sides([2], [])))
-        assert find_witness_triple(g, p, 0, 1) is None
+        assert "parts (0, 1) are joined by an edge but admit no witness triple" in (
+            verify_partition(g, p).failures
+        )
 
 
 class TestSerialization:
