@@ -9,6 +9,7 @@ greedy algorithm in the package fully deterministic.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
 
 from ._record import Record
 from .errors import ParseError, StructureError
@@ -19,40 +20,75 @@ Edge = tuple[int, int]
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    Edges are stored normalized as ``(u, v)`` with ``u < v``.  Self-loops
-    and out-of-range endpoints are rejected; duplicate edges collapse.
-    Instances are immutable: do not mutate ``edges`` or adjacency.
+    Edges are normalized as ``(u, v)`` with ``u < v``.  Self-loops and
+    out-of-range endpoints are rejected; duplicate edges collapse.
+    Instances are immutable: do not mutate the adjacency.
 
-    ``edges`` is a frozenset of the normalized edges, copied from a set
-    filled in input order, so its iteration order depends on that order.
-    The adjacency is one tuple per vertex, built from per-vertex lists
-    sorted in place: about 48 bytes per vertex plus 8 per edge end, and no
-    per-vertex set (216 bytes even when empty) is ever made.
+    What is stored: the adjacency, one tuple of neighbors per vertex in
+    ascending id order, and ``_pairs``, the normalized endpoints in input
+    order (duplicates included) as one flat list ``u0, v0, u1, v1, ...``,
+    both holding the caller's int objects.  The adjacency is a counting
+    sort of ``_pairs``: degrees give each vertex's offset in one flat list,
+    and each vertex's run there becomes its tuple.  Pairs in strictly
+    increasing order (as the renderers, ``gnp`` and ``build_quotient``
+    write them) leave every run sorted and distinct; any other order sorts
+    and de-duplicates each run.
+
+    ``m``, ``has_edge`` and ``sorted_edges`` read the adjacency.  ``edges``,
+    ``==`` and ``hash`` build the edge set once, on first use, in O(m): a
+    frozenset copied from a set filled in input order, so its iteration
+    order depends on that order.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "_adj", "_pairs", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise StructureError(f"vertex count must be non-negative, got {n}")
-        normalized = set()
+        pairs: list[int] = []
+        add = pairs.append
+        deg = [0] * n
+        ordered = True  # each normalized pair so far above the one before it
+        pu = pv = -1
         for u, v in edges:
             if u == v:
                 raise StructureError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise StructureError(f"edge ({u}, {v}) out of range for n={n}")
-            normalized.add((u, v) if u < v else (v, u))
+            if u > v:
+                u, v = v, u
+            if u < pu or u == pu and v <= pv:
+                ordered = False
+            pu, pv = u, v
+            add(u)
+            add(v)
+            deg[u] += 1
+            deg[v] += 1
+        starts = [0, *accumulate(deg)]
+        ends = starts[:-1]  # vertex x's run is flat[starts[x]:ends[x]]
+        flat = [0] * len(pairs)
+        it = iter(pairs)
+        for u, v in zip(it, it):
+            flat[ends[u]] = v
+            ends[u] += 1
+            flat[ends[v]] = u
+            ends[v] += 1
+        runs = tuple(flat)
+        adj = [runs[s:e] for s, e in zip(starts, ends)]
+        if not ordered:
+            adj = [tuple(sorted(set(out))) for out in adj]
         self.n = n
-        self.edges: frozenset[Edge] = frozenset(normalized)
-        del normalized  # one edge table at a time while the adjacency is built
-        adj: list = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for x, out in enumerate(adj):
-            out.sort()
-            adj[x] = tuple(out)
         self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
+        self._pairs = pairs
+        self._edges: frozenset[Edge] | None = None
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The normalized edges, built from ``_pairs`` on first access."""
+        if self._edges is None:
+            it = iter(self._pairs)
+            self._edges = frozenset(set(zip(it, it)))
+        return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of ``v`` in ascending id order."""
@@ -62,14 +98,14 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and v in self._adj[u]
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj)) // 2
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return [(u, v) for u, out in enumerate(self._adj) for v in out if u < v]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -167,9 +203,7 @@ def _edge_list_items(lines: Iterable[tuple[int, str]]) -> Iterator:
         if n is None:
             if len(parts) != 1:
                 raise ParseError(f"line {lineno}: expected vertex count, got {line!r}")
-            n = _int(parts[0])
-            if n < 0:
-                raise ParseError(f"line {lineno}: vertex count must be non-negative")
+            n = _vertex_count(parts[0], lineno)
             ids = list(range(n))  # one int object per id, shared by all its edges
             yield n
             continue
@@ -206,9 +240,7 @@ def _dimacs_items(lines: Iterable[tuple[int, str]]) -> Iterator:
                 raise ParseError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(f"line {lineno}: expected 'p edge n m', got {line!r}")
-            n = _int(parts[2])
-            if n < 0:
-                raise ParseError(f"line {lineno}: vertex count must be non-negative")
+            n = _vertex_count(parts[2], lineno)
             ids = list(range(n))  # one int object per id, shared by all its edges
             yield n
         elif parts[0] == "e":
@@ -357,6 +389,21 @@ def generate(spec: str, seed: int = 0) -> Graph:
         f"unknown generator spec {spec!r}; expected one of: complete t, cycle n, "
         "complete-bipartite a b, gnp n p, petersen"
     )
+
+
+# The largest vertex count a graph file may declare.  The parsers allocate
+# per vertex from the header before any edge is read, so a larger count is
+# refused as a parse error, not left to fail as an allocation.
+MAX_VERTICES = 10**7
+
+
+def _vertex_count(token: str, lineno: int) -> int:
+    n = _int(token)
+    if n < 0:
+        raise ParseError(f"line {lineno}: vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ParseError(f"line {lineno}: vertex count {n} exceeds {MAX_VERTICES}")
+    return n
 
 
 def _int(token: str) -> int:

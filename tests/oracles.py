@@ -528,7 +528,7 @@ def _frozen_two_color_tree(edges: frozenset[tuple[int, int]], root: int) -> dict
 
 
 class FrozenGraph(Graph):
-    __slots__ = ()
+    __slots__ = ("edges",)  # shadows the lazy ``Graph.edges`` property
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:

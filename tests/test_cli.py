@@ -13,7 +13,7 @@ from corpus import corpus
 import oddminors
 from oddminors import cli
 from oddminors.cli import BENCH_COLUMNS, COMMANDS, run
-from oddminors.graph import render_edge_list
+from oddminors.graph import MAX_VERTICES, render_edge_list
 
 C5 = "5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
 K4 = "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -88,6 +88,28 @@ class TestGraphInput:
         code, _, err = run(["partition", "-i", "/nonexistent/g.txt"])
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "argv,text,lineno,count",
+        [
+            (["partition"], "100000000000000000000\n", 1, 10**20),
+            (["partition"], "3000000000\n0 1\n", 1, 3 * 10**9),
+            (["partition"], f"# big\n{MAX_VERTICES + 1}\n", 2, MAX_VERTICES + 1),
+            (["partition"], "c big\np edge 3000000000 0\n", 2, 3 * 10**9),
+            (["verify", "--quotient", "{q}"], "3\n0 1\n", 1, 10**20),
+        ],
+        ids=["edge-list-20-digits", "edge-list-3e9", "edge-list-ceiling-plus-1", "dimacs", "quotient"],
+    )
+    def test_vertex_count_above_the_ceiling(self, tmp_path, argv, text, lineno, count):
+        # The parsers allocate per vertex from the header; a count above
+        # the ceiling exits 2 before any allocation instead of failing with
+        # an OverflowError or MemoryError traceback.
+        q = tmp_path / "q.txt"
+        q.write_text("100000000000000000000\n")
+        argv = [arg.format(q=q) for arg in argv]
+        code, out, err = run(argv, stdin_text=text)
+        assert (code, out) == (2, "")
+        assert err == f"error: line {lineno}: vertex count {count} exceeds {MAX_VERTICES}\n"
 
 
 class TestPipelineCommands:
@@ -546,6 +568,35 @@ class TestStartup:
         loaded = self._modules("import oddminors.cli")
         assert (loaded - floor) & self.HEAVY == set()
         assert {f"oddminors.{layer}" for layer in self.LAYERS} <= loaded
+
+    def _extensions(self, statement):
+        """Names of the loaded modules that are shared libraries."""
+        result = self._python("-c", (
+            f"{statement}\nimport sys\nprint(' '.join(name for name, m in list(sys.modules.items())"
+            " if str(getattr(m, '__file__', '')).endswith(('.so', '.pyd'))))"
+        ))
+        assert result.returncode == 0, result.stderr
+        return set(result.stdout.split())
+
+    def test_cli_import_loads_no_extension_modules(self):
+        # Every shared library a process loads raises its peak RSS; the
+        # pipeline's memory figures assume the CLI adds none at import.
+        assert self._extensions("import oddminors.cli") <= self._extensions("pass")
+
+    def test_heapq_loads_only_to_compute_a_partition(self):
+        if "_heapq" in self._modules("pass"):
+            pytest.skip("this interpreter loads _heapq at startup")
+        statement = (
+            "import sys\n"
+            "import oddminors.cli\n"
+            "from oddminors import compute_partition, parse_graph, parse_partition, verify_partition\n"
+            "g = parse_graph('5\\n0 1\\n0 4\\n1 2\\n2 3\\n3 4\\n')\n"
+            "assert verify_partition(g, parse_partition('0: A=0,2 B=1,3\\n1: A=4 B=\\n')).passed\n"
+            "assert '_heapq' not in sys.modules\n"
+            "compute_partition(g)\n"
+            "assert '_heapq' in sys.modules"
+        )
+        self._modules(statement)
 
     def test_help_runs_without_docstrings(self):
         result = self._python("-OO", "-m", "oddminors.cli", "-h")

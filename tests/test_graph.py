@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddminors import (
+    BcpPartition,
     Graph,
     ParseError,
     StructureError,
     complete,
     complete_bipartite,
+    compute_partition,
     cycle,
     generate,
     gnp,
@@ -24,10 +26,11 @@ from oddminors import (
     petersen,
     render_dimacs,
     render_edge_list,
+    verify_partition,
 )
 from corpus import small_corpus
 from oddminors.graph import SplitMix64, detect_format, parse_dimacs, parse_edge_list
-from oracles import FrozenGraph, frozen_parse_dimacs, frozen_parse_edge_list
+from oracles import FrozenGraph, frozen_parse_dimacs, frozen_parse_edge_list, frozen_verify_partition
 
 MASK = (1 << 64) - 1
 
@@ -212,10 +215,16 @@ class TestRandom:
 
 def assert_same_graph(new, old):
     assert type(new) is Graph and type(old) is FrozenGraph
-    assert new.n == old.n and new.m == old.m
+    assert new.n == old.n and new.m == old.m == len(old.edges)
     assert [new.neighbors(v) for v in range(new.n)] == [old.neighbors(v) for v in range(old.n)]
     assert new.edges == old.edges
     assert list(new.edges) == list(old.edges)
+    assert new.sorted_edges() == old.sorted_edges() == sorted(old.edges)
+    if new.n <= 12:
+        ids = range(-1, new.n + 1)
+        assert [new.has_edge(u, v) for u in ids for v in ids] == [
+            (min(u, v), max(u, v)) in old.edges for u in ids for v in ids
+        ]
     assert new == old and old == new
     assert hash(new) == hash(old)
 
@@ -398,6 +407,32 @@ class TestAgainstFrozenGraph:
         g = Graph(5, [(3, 1)])
         assert [g.neighbors(v) for v in range(5)] == [(), (3,), (), (1,), ()]
         assert_same_graph(g, FrozenGraph(5, [(3, 1)]))
+
+    def test_same_side_edges_named_in_edge_set_order(self):
+        # verify_partition finds same-side edges on the adjacency, in sorted
+        # order; with two or more in one part, its failures must still name
+        # them in the order of g.edges, as the frozen verifier does.  Edges
+        # arrive shuffled, reversed and repeated, so that order is often
+        # not the sorted one.
+        unsorted = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            n = rng.randrange(8, 60)
+            g = Graph(n, messy_edges(n, 2 * n, seed))
+            parts = list(compute_partition(g).parts)
+            inner = [
+                i for i, part in enumerate(parts)
+                if sum(len(set(g.neighbors(v)) & part.members) for v in part.members) >= 4
+            ]
+            for i in rng.sample(inner, rng.randint(1, len(inner))):
+                parts[i] = type(parts[i])(parts[i].members, frozenset())
+            broken = BcpPartition(tuple(parts))
+            report = verify_partition(g, broken)
+            assert report == frozen_verify_partition(g, broken), seed
+            named = [f for f in report.failures if f.endswith("joins two vertices on one side")]
+            assert len(named) >= 2, seed
+            unsorted += named != sorted(named, key=lambda f: [int(x) for x in re.findall(r"\d+", f)])
+        assert unsorted >= 5
 
     def test_constructor_errors_unchanged(self):
         for n, edges in ((-1, []), (3, [(0, 1), (2, 2)]), (3, [(0, 1), (1, 3)]), (2, [(-1, 0)])):

@@ -1,8 +1,9 @@
 """Structural memory layout of parsed and computed objects.
 
 No byte counts: these hold on every supported Python.  Records keep their
-fields in slots, every empty partition side is one shared frozenset, and
-a parsed graph holds one int object per vertex id.
+fields in slots, every empty partition side is one shared frozenset, a
+parsed graph holds one int object per vertex id, and the partition stages
+never build a graph's edge set.
 """
 
 import copy
@@ -26,7 +27,9 @@ from oddminors import (
     render_dimacs,
     render_edge_list,
     render_partition,
+    verify_partition,
 )
+from oracles import frozen_parse_edge_list
 
 
 def sparse_graph(n: int, m: int, seed: int) -> Graph:
@@ -84,6 +87,21 @@ def test_parsed_graph_holds_one_int_per_id(g3000, render):
         objects.setdefault(x, set()).add(id(x))
     assert len(objects) > 2000
     assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_partition_stages_leave_the_edge_set_unbuilt(g3000):
+    text = render_edge_list(g3000)
+    g = parse_graph(text)
+    p = compute_partition(g)
+    assert verify_partition(g, p).passed
+    assert build_quotient(g, p).partition is p
+    assert verify_partition(g, parse_partition(render_partition(p))).passed
+    assert g._edges is None  # the adjacency served every stage
+    frozen = frozen_parse_edge_list(text)
+    assert g.edges == frozen.edges
+    assert list(g.edges) == list(frozen.edges)
+    objects = {x: x for v in range(g.n) for x in g.neighbors(v)}
+    assert all(objects[x] is x for edge in g.edges for x in edge)
 
 
 def test_records_copy_and_pickle(g3000):
