@@ -12,18 +12,18 @@ input, 3 search/coloring budget exceeded.
 from __future__ import annotations
 
 import io
-import os
 import sys
 from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 from . import coloring as _coloring
-from . import minors as _minors
+from .coloring import DEFAULT_MAX_NODES, DEFAULT_MAX_VERTICES
 from .errors import BudgetExceeded, ContractViolation, ParseError, StructureError
 from .graph import Graph, generate, parse_graph, render_dimacs, render_edge_list
 from .lifting import lift_expansion, reduction_report
 from .minors import (
+    DEFAULT_MAX_ASSIGNMENTS,
     OddExpansionCertificate,
     find_expansion,
     find_odd_expansion,
@@ -35,12 +35,6 @@ from .minors import (
 from .partition import compute_partition, parse_partition, render_partition, verify_partition
 from .quotient import QuotientGraph, build_quotient, parse_quotient, render_quotient, verify_quotient
 
-_ENV_BUDGETS = (
-    ("max_vertices", "ODDMINORS_MAX_VERTICES", _coloring.DEFAULT_MAX_VERTICES),
-    ("max_nodes", "ODDMINORS_MAX_NODES", _coloring.DEFAULT_MAX_NODES),
-    ("max_assignments", "ODDMINORS_MAX_ASSIGNMENTS", _minors.DEFAULT_MAX_ASSIGNMENTS),
-)
-
 # A flag is (option strings, type, default, help).  The type is int, str or a
 # tuple of allowed values.  Option strings without a leading dash name the
 # positional words, as in ``gen``'s spec.
@@ -51,9 +45,9 @@ _GRAPH = (
 _T = (("-t",), int, None, "clique size t")
 _CERT = (("--cert",), str, None, "expansion certificate file (verify also takes odd ones)")
 _REUSE = (("--partition",), str, None, "reuse a serialized partition instead of recomputing")
-_MAX_VERTICES = (("--max-vertices",), int, None, "largest graph the exact colorer accepts")
-_MAX_NODES = (("--max-nodes",), int, None, "search-node cap for the exact colorer")
-_MAX_ASSIGNMENTS = (("--max-assignments",), int, None, "cap on (t+1)^n branch-set assignments")
+_MAX_VERTICES = (("--max-vertices",), int, DEFAULT_MAX_VERTICES, "largest graph the exact colorer accepts")
+_MAX_NODES = (("--max-nodes",), int, DEFAULT_MAX_NODES, "search-node cap for the exact colorer")
+_MAX_ASSIGNMENTS = (("--max-assignments",), int, DEFAULT_MAX_ASSIGNMENTS, "cap on (t+1)^n branch-set assignments")
 
 # command -> (help, flags, required flags, flags of which exactly one is given)
 COMMANDS = {
@@ -161,22 +155,6 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=command, **{k.lstrip("-").replace("-", "_"): v for k, v in values.items()})
 
 
-def _budget(args: SimpleNamespace, name: str) -> int:
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    for attr, env, default in _ENV_BUDGETS:
-        if attr == name:
-            raw = os.environ.get(env)
-            if raw is None:
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise ParseError(f"{env} must be an integer, got {raw!r}") from None
-    raise KeyError(name)
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -227,28 +205,20 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
 
     if args.command == "color":
         if args.mode == "exact":
-            c = _coloring.color_exact(
-                g,
-                max_vertices=_budget(args, "max_vertices"),
-                max_nodes=_budget(args, "max_nodes"),
-            )
+            c = _coloring.color_exact(g, max_vertices=args.max_vertices, max_nodes=args.max_nodes)
         elif args.mode == "heuristic":
             c = _coloring.color_heuristic(g)
         else:
             p = parse_partition(_read(args.partition)) if args.partition else compute_partition(g)
             q = build_quotient(g, p)
-            c_h = _coloring.color_exact(
-                q.h,
-                max_vertices=_budget(args, "max_vertices"),
-                max_nodes=_budget(args, "max_nodes"),
-            )
+            c_h = _coloring.color_exact(q.h, max_vertices=args.max_vertices, max_nodes=args.max_nodes)
             c = _coloring.compose_coloring(q, c_h)
         sys.stdout.write(_coloring.render_coloring(c))
         return 0
 
     if args.command in ("find-minor", "find-odd-minor"):
         finder = find_expansion if args.command == "find-minor" else find_odd_expansion
-        cert = finder(g, args.t, max_assignments=_budget(args, "max_assignments"))
+        cert = finder(g, args.t, max_assignments=args.max_assignments)
         if cert is None:
             sys.stdout.write("NOT FOUND\n")
             return 1
@@ -267,7 +237,7 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
             if isinstance(cert_h, OddExpansionCertificate):
                 raise ParseError("lift expects a plain expansion certificate for the quotient")
         else:
-            cert_h = find_expansion(q.h, args.t, max_assignments=_budget(args, "max_assignments"))
+            cert_h = find_expansion(q.h, args.t, max_assignments=args.max_assignments)
             if cert_h is None:
                 sys.stdout.write("NOT FOUND\n")
                 return 1
@@ -278,9 +248,9 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
         rep = reduction_report(
             g,
             args.t,
-            max_vertices=_budget(args, "max_vertices"),
-            max_nodes=_budget(args, "max_nodes"),
-            max_assignments=_budget(args, "max_assignments"),
+            max_vertices=args.max_vertices,
+            max_nodes=args.max_nodes,
+            max_assignments=args.max_assignments,
         )
         sys.stdout.write(rep.render())
         return 0
@@ -319,8 +289,8 @@ def _bench(args: SimpleNamespace) -> int:
         raise ParseError(f"bad bench grid: {exc}") from None
     if not ns or not ps or not seeds:
         raise ParseError("bench grid must be non-empty")
-    max_vertices = _budget(args, "max_vertices")
-    max_nodes = _budget(args, "max_nodes")
+    if min(ns) < 1 or not all(0 <= p <= 1 for p in ps):
+        raise ParseError("bench grid needs every n >= 1 and every p in [0, 1]")
     sys.stdout.write(",".join(BENCH_COLUMNS) + "\n")
     for n in ns:
         for p in ps:
@@ -330,7 +300,7 @@ def _bench(args: SimpleNamespace) -> int:
                 q = build_quotient(g, part)
                 try:
                     c_h = _coloring.color_exact(
-                        q.h, max_vertices=max_vertices, max_nodes=max_nodes
+                        q.h, max_vertices=args.max_vertices, max_nodes=args.max_nodes
                     )
                     chi_h = c_h.palette
                     composed = _coloring.compose_coloring(q, c_h).palette
@@ -338,7 +308,7 @@ def _bench(args: SimpleNamespace) -> int:
                     chi_h = composed = None
                 try:
                     chi_g = _coloring.color_exact(
-                        g, max_vertices=max_vertices, max_nodes=max_nodes
+                        g, max_vertices=args.max_vertices, max_nodes=args.max_nodes
                     ).palette
                 except BudgetExceeded:
                     chi_g = None

@@ -8,8 +8,6 @@ quotient's palette.
 
 from __future__ import annotations
 
-import time
-
 from ._record import Record
 from .errors import BudgetExceeded, ContractViolation, ParseError
 from .graph import Graph, _Reader
@@ -71,7 +69,6 @@ def color_exact(
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_nodes: int = DEFAULT_MAX_NODES,
-    max_seconds: float | None = None,
 ) -> Coloring:
     """Minimum proper coloring by DSATUR branch and bound.
 
@@ -105,7 +102,6 @@ def color_exact(
                 neighbor_colors[w].add(rank)
     start_k = len(clique)
     nodes = 0
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
 
     def pick() -> int:
         return min(
@@ -132,8 +128,6 @@ def color_exact(
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded(f"exact coloring exceeded {max_nodes} search nodes")
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"exact coloring exceeded {max_seconds} seconds")
         if all(c != -1 for c in colors):
             if used < best_k:
                 best_k = used

@@ -159,7 +159,14 @@ class ReductionReport(Record):
         return "\n".join(out) + "\n"
 
 
-def reduction_report(g: Graph, t: int, **budgets) -> ReductionReport:
+def reduction_report(
+    g: Graph,
+    t: int,
+    *,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
+) -> ReductionReport:
     """Run partition → quotient → search, then lift or color.
 
     A quotient K_t-expansion lifts to a verified odd K_t-expansion of g;
@@ -168,18 +175,12 @@ def reduction_report(g: Graph, t: int, **budgets) -> ReductionReport:
     """
     p = compute_partition(g)
     q = build_quotient(g, p)
-    cert_h = find_expansion(
-        q.h, t, max_assignments=budgets.get("max_assignments", DEFAULT_MAX_ASSIGNMENTS)
-    )
+    cert_h = find_expansion(q.h, t, max_assignments=max_assignments)
     if cert_h is not None:
         cert = lift_expansion(g, q, cert_h)
         passed = verify_odd_expansion(g, cert).passed
         return ReductionReport(g, t, p, q, cert, passed, None, None)
-    c_h = color_exact(
-        q.h,
-        max_vertices=budgets.get("max_vertices", DEFAULT_MAX_VERTICES),
-        max_nodes=budgets.get("max_nodes", DEFAULT_MAX_NODES),
-    )
+    c_h = color_exact(q.h, max_vertices=max_vertices, max_nodes=max_nodes)
     composed = compose_coloring(q, c_h)
     if not verify_coloring(g, composed).passed:
         raise InvariantViolation("composed coloring is not proper")

@@ -456,8 +456,8 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
     parity: dict[int, int] = {}
     expected = None  # number of trees, once the header is seen
     section = "header"
-    with _Reader(text, "#", "cannot parse certificate line {raw!r}", own=True) as lines:
-        for _, line in lines:
+    with _Reader(text, "#", "cannot parse certificate line {raw!r}") as lines:
+        for lineno, line in lines:
             if section == "header":
                 head, count = line.split()
                 if head != "trees":
@@ -471,7 +471,7 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
                     raise ValueError
                 head, rest = line.split(":", 1)
                 if int(head.split()[1]) != len(trees) + 1:
-                    raise ValueError("tree labels must be 1,2,... in order")
+                    raise ParseError(f"line {lineno}: tree labels must be 1,2,... in order")
                 vpart, _, epart = rest.partition("/")
                 verts = frozenset(int(x) for x in vpart.split(",") if x.strip())
                 edges = set()
@@ -490,9 +490,9 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
                 a, b = (int(x) for x in pair_part.split())
                 u, v = (int(x) for x in edge_part.split())
                 if not 1 <= a < b:
-                    raise ValueError("connector labels must satisfy s < s'")
+                    raise ParseError(f"line {lineno}: connector labels must satisfy s < s'")
                 if (a - 1, b - 1) in connectors:
-                    raise ValueError(f"duplicate connector for pair ({a}, {b})")
+                    raise ParseError(f"line {lineno}: duplicate connector for pair ({a}, {b})")
                 connectors[(a - 1, b - 1)] = (u, v) if u < v else (v, u)
             elif line.startswith("parity "):
                 if section in ("trees", "conn") and len(trees) == expected:
@@ -502,9 +502,9 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
                 vpart, cpart = line[len("parity "):].split(":")
                 v, c = int(vpart), int(cpart)
                 if c not in (1, 2):
-                    raise ValueError("parity color must be 1 or 2")
+                    raise ParseError(f"line {lineno}: parity color must be 1 or 2")
                 if v in parity:
-                    raise ValueError(f"duplicate parity line for vertex {v}")
+                    raise ParseError(f"line {lineno}: duplicate parity line for vertex {v}")
                 parity[v] = c
             else:
                 raise ValueError

@@ -11,7 +11,7 @@ import pytest
 from corpus import corpus
 
 import oddminors
-from oddminors import cli
+from oddminors import cli, coloring, minors
 from oddminors.cli import BENCH_COLUMNS, COMMANDS, run
 from oddminors.graph import MAX_VERTICES, render_edge_list
 
@@ -290,6 +290,19 @@ class TestMalformedArtifacts:
         result = self._verify(tmp_path, "--cert", "trees 1\nT : 0 /\n")
         assert result == (2, "", "error: line 2: cannot parse certificate line 'T : 0 /'\n")
 
+    @pytest.mark.parametrize(
+        "artifact,lineno,raw",
+        [
+            ("trees x\n", 1, "trees x"),
+            ("trees 1\nT 1: 0 / 0-x\n", 2, "T 1: 0 / 0-x"),
+            ("trees\n", 1, "trees"),
+        ],
+        ids=["non-integer-count", "non-integer-endpoint", "missing-count"],
+    )
+    def test_certificate_field_errors_have_one_wording(self, tmp_path, artifact, lineno, raw):
+        result = self._verify(tmp_path, "--cert", artifact)
+        assert result == (2, "", f"error: line {lineno}: cannot parse certificate line {raw!r}\n")
+
     def test_quotient_edge_error_names_its_own_line(self, tmp_path):
         result = self._verify(tmp_path, "--quotient", "# hdr\n\n2\n0 1 7\nw 0 1 : 0 1 2\n")
         assert result == (2, "", "error: line 4: expected 'u v', got '0 1 7'\n")
@@ -364,23 +377,28 @@ class TestBudgets:
         assert out == ""
         assert "error:" in err
 
-    def test_env_var_trips_budget(self, monkeypatch):
+    def test_environment_sets_no_budget(self, monkeypatch):
+        argvs = (["find-minor", "-t", "3"], ["color", "--mode", "exact"])
+        for name in ("ODDMINORS_MAX_ASSIGNMENTS", "ODDMINORS_MAX_NODES"):
+            monkeypatch.delenv(name, raising=False)
+        clean = [run(argv, stdin_text=C5) for argv in argvs]
         monkeypatch.setenv("ODDMINORS_MAX_ASSIGNMENTS", "1")
-        code, _, _ = run(["find-minor", "-t", "3"], stdin_text=C5)
-        assert code == 3
-
-    def test_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("ODDMINORS_MAX_ASSIGNMENTS", "1")
-        code, _, _ = run(
-            ["find-minor", "-t", "3", "--max-assignments", "100000"], stdin_text=C5
-        )
-        assert code == 0
-
-    def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("ODDMINORS_MAX_NODES", "lots")
-        code, _, err = run(["color", "--mode", "exact"], stdin_text=C5)
-        assert code == 2
-        assert "ODDMINORS_MAX_NODES" in err
+        assert [run(argv, stdin_text=C5) for argv in argvs] == clean
+
+    @pytest.mark.parametrize(
+        "flag,default",
+        [
+            ("--max-vertices", coloring.DEFAULT_MAX_VERTICES),
+            ("--max-nodes", coloring.DEFAULT_MAX_NODES),
+            ("--max-assignments", minors.DEFAULT_MAX_ASSIGNMENTS),
+        ],
+    )
+    def test_help_shows_budget_default(self, flag, default):
+        out = run(["report", "-h"])[1]
+        lines = out.splitlines()
+        text = lines[lines.index(f"  {flag} N") + 1]
+        assert text.endswith(f"(default: {default})")
 
     def test_exact_coloring_vertex_budget(self):
         big = run(["gen", "cycle", "40"])[1]
@@ -432,6 +450,12 @@ class TestBench:
         rendered = io.StringIO()
         csv.writer(rendered, lineterminator="\n").writerows(rows)
         assert out == rendered.getvalue()
+
+    @pytest.mark.parametrize("n,p", [("4", "1.5"), ("0", "0.5")])
+    def test_out_of_range_grid_rejected(self, n, p):
+        code, out, err = run(["bench", "--n", n, "--p", p, "--seeds", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_empty_grid_rejected(self):
         code, _, err = run(["bench", "--n", "", "--p", "0.5", "--seeds", "1"])

@@ -157,6 +157,10 @@ class TestReductionReport:
         with pytest.raises(BudgetExceeded):
             reduction_report(complete(5), 3, max_assignments=1)
 
+    def test_misspelled_budget_is_an_error(self):
+        with pytest.raises(TypeError):
+            reduction_report(complete(5), 3, max_assignment=1)
+
     @pytest.mark.parametrize("name,g", small_corpus(8))
     def test_dichotomy_on_corpus(self, name, g):
         rep = reduction_report(g, 3)
