@@ -48,6 +48,8 @@ _REUSE = (("--partition",), str, None, "reuse a serialized partition instead of 
 _MAX_VERTICES = (("--max-vertices",), int, DEFAULT_MAX_VERTICES, "largest graph the exact colorer accepts")
 _MAX_NODES = (("--max-nodes",), int, DEFAULT_MAX_NODES, "search-node cap for the exact colorer")
 _MAX_ASSIGNMENTS = (("--max-assignments",), int, DEFAULT_MAX_ASSIGNMENTS, "cap on (t+1)^n branch-set assignments")
+# The least value of each bounded int flag; a lower one is a usage error.
+_LEAST = {"-t": 1, "--max-vertices": 0, "--max-nodes": 0, "--max-assignments": 0}
 
 # command -> (help, flags, required flags, flags of which exactly one is given)
 COMMANDS = {
@@ -141,6 +143,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
                 value = int(value)
             except ValueError:
                 raise _usage(command, f"{option}: invalid int value {value!r}") from None
+            least = _LEAST.get(options[-1])
+            if least is not None and value < least:
+                raise _usage(command, f"{option} must be at least {least}, got {value}")
         values[options[-1]] = value
     if words:
         positional = next((name for name in values if name[0] != "-"), None)

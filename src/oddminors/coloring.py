@@ -50,10 +50,7 @@ def color_heuristic(g: Graph) -> Coloring:
     colors: list[int] = [-1] * g.n
     neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
     for _ in range(g.n):
-        v = min(
-            (u for u in range(g.n) if colors[u] == -1),
-            key=lambda u: (-len(neighbor_colors[u]), -g.degree(u), u),
-        )
+        v = _most_saturated(g, colors, neighbor_colors)
         c = 0
         while c in neighbor_colors[v]:
             c += 1
@@ -62,6 +59,15 @@ def color_heuristic(g: Graph) -> Coloring:
             if colors[w] == -1:
                 neighbor_colors[w].add(c)
     return Coloring(tuple(colors))
+
+
+def _most_saturated(g: Graph, colors: list[int], neighbor_colors: list[set[int]]) -> int:
+    """The DSATUR choice: the uncolored vertex with the most distinct
+    neighbor colors, ties broken by higher degree then lower id."""
+    return min(
+        (u for u in range(g.n) if colors[u] == -1),
+        key=lambda u: (-len(neighbor_colors[u]), -g.degree(u), u),
+    )
 
 
 def color_exact(
@@ -103,12 +109,6 @@ def color_exact(
     start_k = len(clique)
     nodes = 0
 
-    def pick() -> int:
-        return min(
-            (u for u in range(g.n) if colors[u] == -1),
-            key=lambda u: (-len(neighbor_colors[u]), -g.degree(u), u),
-        )
-
     def down(v: int, c: int) -> list[int]:
         colors[v] = c
         touched = []
@@ -133,7 +133,7 @@ def color_exact(
                 best_k = used
                 best = colors[:]
             return
-        v = pick()
+        v = _most_saturated(g, colors, neighbor_colors)
         for c in range(used):
             if c in neighbor_colors[v]:
                 continue

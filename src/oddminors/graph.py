@@ -25,22 +25,21 @@ class Graph:
     Instances are immutable: do not mutate the adjacency.
 
     What is stored: the adjacency, one tuple of neighbors per vertex in
-    ascending id order, and ``_pairs``, the normalized endpoints in input
-    order (duplicates included) as one flat list ``u0, v0, u1, v1, ...``,
-    both holding the caller's int objects.  The adjacency is a counting
-    sort of ``_pairs``: degrees give each vertex's offset in one flat list,
-    and each vertex's run there becomes its tuple.  Pairs in strictly
-    increasing order (as the renderers, ``gnp`` and ``build_quotient``
-    write them) leave every run sorted and distinct; any other order sorts
-    and de-duplicates each run.
+    ascending id order, holding the caller's int objects.  It is a counting
+    sort of the normalized endpoints: degrees give each vertex's offset in
+    one flat list, and each vertex's run there becomes its tuple.  Pairs in
+    strictly increasing order (as the renderers, ``gnp`` and
+    ``build_quotient`` write them) leave every run sorted and distinct; any
+    other order sorts and de-duplicates each run.
 
-    ``m``, ``has_edge`` and ``sorted_edges`` read the adjacency.  ``edges``,
-    ``==`` and ``hash`` build the edge set once, on first use, in O(m): a
-    frozenset copied from a set filled in input order, so its iteration
-    order depends on that order.
+    The adjacency is the graph's one edge order: ``sorted_edges`` lists it,
+    and ``m``, ``has_edge``, ``==`` and ``hash`` read it.  ``edges``, the
+    frozenset of normalized edges, is built from it once, on first use, in
+    O(m); its iteration order is that of a frozenset copied from a set
+    filled in sorted order.
     """
 
-    __slots__ = ("n", "_adj", "_pairs", "_edges")
+    __slots__ = ("n", "_adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -79,15 +78,15 @@ class Graph:
             adj = [tuple(sorted(set(out))) for out in adj]
         self.n = n
         self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
-        self._pairs = pairs
         self._edges: frozenset[Edge] | None = None
 
     @property
     def edges(self) -> frozenset[Edge]:
-        """The normalized edges, built from ``_pairs`` on first access."""
+        """The normalized edges, built from the adjacency on first access."""
         if self._edges is None:
-            it = iter(self._pairs)
-            self._edges = frozenset(set(zip(it, it)))
+            own = {v: v for out in self._adj for v in out}  # each id's int object in the adjacency
+            pairs = ((own[u], v) for u, out in enumerate(self._adj) for v in out if u < v)
+            self._edges = frozenset(set(pairs))
         return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -110,10 +109,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

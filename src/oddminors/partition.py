@@ -109,12 +109,12 @@ def verify_partition(g: Graph, p: BcpPartition) -> VerificationReport:
 
     The check runs on flat per-vertex arrays: the first part holding each
     vertex and its side there, plus a sparse map for vertices that several
-    parts hold.  One pass over the adjacency finds whether any edge joins
-    two vertices on one side (only then is g's edge set built, to name them
-    in its order), one traversal with a stamp array counts the components
-    of every part, and one pass over the vertices finds the witness
-    triples.  Beyond the failures and the triples it allocates O(n) words,
-    and no set per part, in O((n + m) log n) time.
+    parts hold.  One pass over the adjacency finds and names, in sorted
+    order, every edge that joins two vertices on one side of a part; one
+    traversal with a stamp array counts the components of every part; and
+    one pass over the vertices finds the witness triples.  Beyond the
+    failures and the triples it allocates O(n) words, and no set per part,
+    in O((n + m) log n) time.
     """
     return VerificationReport(_check_partition(g, p)[0])
 
@@ -160,28 +160,33 @@ def _check_partition(
             return side[v]
         return (v in parts[i].side_a) * _A | (v in parts[i].side_b) * _B
 
-    # Same-side edges.  With no vertex in two parts or on both sides of one,
-    # an edge joins one side of a part exactly when its two ends share the
-    # key 2 * part + side bit, which one pass over the adjacency checks
-    # without the edge set.  Only a find, or either of those failures, walks
-    # g.edges, whose order the messages keep.  (Two uncovered vertices share
-    # the key -2: a false find, on a partition that fails anyway.)
+    # Same-side edges, named in sorted order.  With no vertex in two parts or
+    # on both sides of one, an edge joins one side of a part exactly when its
+    # two ends share the key 2 * part + side bit, so one pass over the
+    # adjacency that compares keys finds every candidate.  (Two uncovered
+    # vertices share the key -2, and are dropped below.)  Otherwise every
+    # edge is a candidate.
+    if more or (_A | _B) in side:
+        candidates = g.sorted_edges()
+    else:
+        key = [2 * i + s for i, s in zip(part_of, side)]
+        candidates = [
+            (u, v) for u, (k, out) in enumerate(zip(key, g._adj)) for v in out if key[v] == k and u < v
+        ]
+        del key  # freed before the component count allocates
     one_side: dict[int, list[str]] = {}
-    if more or (_A | _B) in side or _same_key_edge(g, [2 * i + s for i, s in zip(part_of, side)]):
-        for u, v in g.edges:
-            i = part_of[u]
-            if i < 0 or part_of[v] < 0:
-                continue
-            if u in more or v in more:
-                shared = [k for k in (i, *more.get(u, ())) if holds(k, v) and sides(k, u) & sides(k, v)]
-            elif i == part_of[v] and side[u] & side[v]:
-                shared = (i,)
-            else:
-                continue
-            for k in shared:
-                one_side.setdefault(k, []).append(
-                    f"part {k}: edge ({u}, {v}) joins two vertices on one side"
-                )
+    for u, v in candidates:
+        i = part_of[u]
+        if i < 0 or part_of[v] < 0:
+            continue
+        if u in more or v in more:
+            shared = [k for k in (i, *more.get(u, ())) if holds(k, v) and sides(k, u) & sides(k, v)]
+        elif i == part_of[v] and side[u] & side[v]:
+            shared = (i,)
+        else:
+            continue
+        for k in shared:
+            one_side.setdefault(k, []).append(f"part {k}: edge ({u}, {v}) joins two vertices on one side")
 
     failures: list[str] = []
     stamp = [-1] * n  # part whose component count last reached the vertex
@@ -230,16 +235,6 @@ def _check_partition(
                 f"parts ({i}, {j}) are joined by an edge but admit no witness triple"
             )
     return tuple(failures), triples
-
-
-def _same_key_edge(g: Graph, key: list[int]) -> bool:
-    """Whether some edge of g joins two vertices of equal ``key``: one pass
-    over the adjacency tuples, which reads no edge set."""
-    for k, out in zip(key, g._adj):
-        for v in out:
-            if key[v] == k:
-                return True
-    return False
 
 
 def _witness_triples(

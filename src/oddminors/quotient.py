@@ -46,9 +46,9 @@ def contraction_check(g: Graph, q: QuotientGraph) -> VerificationReport:
     """PASS iff q.h equals the contraction of g along q.partition.
 
     Identifies each part to one vertex, drops loops and parallel edges,
-    and compares edge sets.  The contraction is read from g's adjacency;
-    g's edge set is built only to name edges with an endpoint outside the
-    partition, in its order.
+    and compares edge sets.  The contraction is read from g's adjacency,
+    which also names, in sorted order, each edge with an endpoint outside
+    the partition.
     """
     failures: list[str] = []
     p = q.partition
@@ -57,26 +57,21 @@ def contraction_check(g: Graph, q: QuotientGraph) -> VerificationReport:
         return VerificationReport(tuple(failures))
     part_of = p.part_of
     expected = set()
-    outside = False
     for u in range(g.n):
         i = part_of.get(u)
         for v in g.neighbors(u):
             if u < v:
                 j = part_of.get(v)
                 if i is None or j is None:
-                    outside = True
+                    failures.append(f"edge ({u}, {v}) has an endpoint outside the partition")
                 elif i != j:
                     expected.add((min(i, j), max(i, j)))
-    if outside:  # named in the order of g.edges
-        failures.extend(
-            f"edge ({u}, {v}) has an endpoint outside the partition"
-            for u, v in g.edges
-            if u not in part_of or v not in part_of
-        )
-    for e in sorted(expected - q.h.edges):
+    h_edges = q.h.sorted_edges()
+    for e in sorted(expected.difference(h_edges)):
         failures.append(f"contraction edge {e} missing from h")
-    for e in sorted(q.h.edges - expected):
-        failures.append(f"h edge {e} not present in the contraction")
+    for e in h_edges:
+        if e not in expected:
+            failures.append(f"h edge {e} not present in the contraction")
     return VerificationReport(tuple(failures))
 
 
@@ -104,8 +99,9 @@ def verify_quotient(g: Graph, q: QuotientGraph) -> VerificationReport:
                 f"witness for ({i}, {j}): {w.v} is not a common neighbor "
                 f"of {w.u1} and {w.u2}"
             )
-    for i, j in sorted(set(q.h.edges) - set(q.witnesses)):
-        failures.append(f"quotient edge ({i}, {j}) has no witness")
+    for i, j in q.h.sorted_edges():
+        if (i, j) not in q.witnesses:
+            failures.append(f"quotient edge ({i}, {j}) has no witness")
     return VerificationReport(tuple(failures))
 
 
@@ -139,8 +135,9 @@ def parse_quotient(text: str) -> tuple[Graph, dict[tuple[int, int], WitnessTripl
     with _Reader(text, "#", own=True) as lines:
         items = _edge_list_items(item for item in lines if not item[1].startswith("w "))
         h = Graph(next(items), items)
-    missing = sorted(set(h.edges) - set(witnesses))
-    extra = sorted(set(witnesses) - set(h.edges))
+    edges = h.sorted_edges()
+    missing = [e for e in edges if e not in witnesses]
+    extra = sorted(set(witnesses).difference(edges))
     if missing:
         raise ParseError(f"edges without witnesses: {missing}")
     if extra:

@@ -551,6 +551,20 @@ class FrozenGraph(Graph):
         )
 
 
+class SortedView(Graph):
+    """A graph's adjacency, with ``edges`` a list in ``sorted_edges()`` order.
+
+    The frozen verifier above names same-side edges in the order that
+    ``g.edges`` iterates.  Run on this view of ``g``, it names them in
+    sorted order, the order ``verify_partition`` uses.
+    """
+
+    __slots__ = ("edges",)  # shadows the lazy ``Graph.edges`` property
+
+    def __init__(self, g: Graph) -> None:
+        self.n, self._adj, self.edges = g.n, g._adj, g.sorted_edges()
+
+
 def frozen_parse_edge_list(text: str) -> FrozenGraph:
     """Parse the edge-list format: first line ``n``, then ``u v`` lines.
 

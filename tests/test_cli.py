@@ -500,12 +500,25 @@ class TestUsage:
             ["gen", "--seed", "7"],
             ["bench", "--n", "4", "--p", "0.5"],
             ["report", "--inp", "g.txt", "-t", "3"],
+            ["find-minor", "-t", "0"],
+            ["find-odd-minor", "-t", "-2"],
+            ["lift", "-t", "0"],
+            ["report", "-t", "0"],
+            ["color", "--mode", "exact", "--max-nodes", "-1"],
+            ["report", "-t", "3", "--max-vertices", "-1"],
+            ["find-minor", "-t", "3", "--max-assignments", "-5"],
+            ["bench", "--n", "4", "--p", "0.5", "--seeds", "1", "--max-nodes=-1"],
         ],
     )
     def test_usage_errors(self, argv):
         code, out, err = run(argv, stdin_text=C5)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    def test_seed_may_be_negative(self):
+        code, out, _ = run(["gen", "gnp", "6", "0.5", "--seed", "-3"])
+        assert code == 0
+        assert out == render_edge_list(oddminors.gnp(6, 0.5, -3))
 
     def test_top_level_help_lists_every_command(self):
         for flag in ("-h", "--help"):

@@ -1,6 +1,8 @@
 """Expansion finders (with their pruning) and the independent verifiers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oddminors.minors as minors
 from corpus import all_graphs_on_5, small_corpus
@@ -394,6 +396,16 @@ class TestCertificateFormat:
             cert = find_odd_expansion(g, t)
             parsed = parse_certificate(render_certificate(cert))
             assert parsed == cert
+
+    @given(st.data(), st.integers(min_value=1, max_value=4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_random(self, data, t, odd):
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ())
+        cert = (find_odd_expansion if odd else find_expansion)(g, t)
+        if cert is not None:
+            assert parse_certificate(render_certificate(cert)) == cert
 
     def test_comments_and_blanks_tolerated(self):
         text = "# header\ntrees 2\n\nT 1: 0 /\nT 2: 1 /\nconn 1 2 : 0 1\n"

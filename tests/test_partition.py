@@ -22,6 +22,7 @@ from oddminors import (
     verify_partition,
 )
 from oracles import (
+    SortedView,
     frozen_compute_partition,
     frozen_verify_partition,
     frozen_witnesses,
@@ -93,14 +94,16 @@ def corruptions(g, p, seed):
 
 
 def assert_same_as_frozen(g):
+    # The frozen verifier reads a view of g whose edges iterate in sorted
+    # order, the order in which verify_partition names same-side edges.
     p = compute_partition(g)
     assert p == frozen_compute_partition(g)
-    assert verify_partition(g, p) == frozen_verify_partition(g, p)
+    assert verify_partition(g, p) == frozen_verify_partition(SortedView(g), p)
     q = build_quotient(g, p)
     assert {e: (w.u1, w.u2, w.v) for e, w in q.witnesses.items()} == frozen_witnesses(g, p)
     if g.n:
         for kind, broken in corruptions(g, p, g.n + g.m).items():
-            new, old = verify_partition(g, broken), frozen_verify_partition(g, broken)
+            new, old = verify_partition(g, broken), frozen_verify_partition(SortedView(g), broken)
             assert new == old, kind
 
 
@@ -161,7 +164,7 @@ def assert_more_corruptions_as_frozen(g):
     p = compute_partition(g)
     for kind, broken in more_corruptions(g, p, g.n + g.m).items():
         new = verify_partition(g, broken)
-        assert new == frozen_verify_partition(g, broken), kind
+        assert new == frozen_verify_partition(SortedView(g), broken), kind
         assert not new.passed, kind
         with pytest.raises(StructureError, match="partition fails verification"):
             build_quotient(g, broken)
@@ -249,7 +252,8 @@ class TestAgainstFrozenCopy:
 
 
 class TestMoreCorruptionsAgainstFrozenCopy:
-    """Equal failure reports to the frozen verifier on the damage kinds of
+    """Equal failure reports to the frozen verifier (run on a sorted view of
+    g, as in ``assert_same_as_frozen``) on the damage kinds of
     ``more_corruptions``: a same-side edge inside the largest part, an
     appended empty part, a least vertex on side B, a vertex on both sides
     of its part, and a vertex held by two parts with a same-side edge in
@@ -285,7 +289,7 @@ class TestMoreCorruptionsAgainstFrozenCopy:
         g = Graph(3, [(0, 1), (1, 2)])
         broken = BcpPartition((sides([0, 1], []), sides([], [1, 2])))
         report = verify_partition(g, broken)
-        assert report == frozen_verify_partition(g, broken)
+        assert report == frozen_verify_partition(SortedView(g), broken)
         assert "part 0: edge (0, 1) joins two vertices on one side" in report.failures
         assert "part 1: edge (1, 2) joins two vertices on one side" in report.failures
 
