@@ -18,12 +18,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 from . import coloring as _coloring
-from .coloring import DEFAULT_MAX_NODES, DEFAULT_MAX_VERTICES
-from .errors import BudgetExceeded, ContractViolation, ParseError, StructureError
+from .errors import DEFAULT_MAX_NODES, BudgetExceeded, ContractViolation, ParseError, StructureError
 from .graph import Graph, generate, parse_graph, render_dimacs, render_edge_list
 from .lifting import lift_expansion, reduction_report
 from .minors import (
-    DEFAULT_MAX_ASSIGNMENTS,
     OddExpansionCertificate,
     find_expansion,
     find_odd_expansion,
@@ -45,11 +43,9 @@ _GRAPH = (
 _T = (("-t",), int, None, "clique size t")
 _CERT = (("--cert",), str, None, "expansion certificate file (verify also takes odd ones)")
 _REUSE = (("--partition",), str, None, "reuse a serialized partition instead of recomputing")
-_MAX_VERTICES = (("--max-vertices",), int, DEFAULT_MAX_VERTICES, "largest graph the exact colorer accepts")
-_MAX_NODES = (("--max-nodes",), int, DEFAULT_MAX_NODES, "search-node cap for the exact colorer")
-_MAX_ASSIGNMENTS = (("--max-assignments",), int, DEFAULT_MAX_ASSIGNMENTS, "cap on (t+1)^n branch-set assignments")
+_MAX_NODES = (("--max-nodes",), int, DEFAULT_MAX_NODES, "search-node cap for exact coloring and expansion search")
 # The least value of each bounded int flag; a lower one is a usage error.
-_LEAST = {"-t": 1, "--max-vertices": 0, "--max-nodes": 0, "--max-assignments": 0}
+_LEAST = {"-t": 1, "--max-nodes": 0}
 
 # command -> (help, flags, required flags, flags of which exactly one is given)
 COMMANDS = {
@@ -62,10 +58,10 @@ COMMANDS = {
     "quotient": ("quotient graph with witness triples", _GRAPH + (_REUSE,), (), ()),
     "color": ("color the graph", _GRAPH + (
         (("--mode",), ("exact", "heuristic", "composed"), "composed", "coloring method"),
-        _REUSE, _MAX_VERTICES, _MAX_NODES,
+        _REUSE, _MAX_NODES,
     ), (), ()),
-    "find-minor": ("search for a K_t-expansion", _GRAPH + (_T, _MAX_ASSIGNMENTS), ("-t",), ()),
-    "find-odd-minor": ("search for an odd K_t-expansion", _GRAPH + (_T, _MAX_ASSIGNMENTS), ("-t",), ()),
+    "find-minor": ("search for a K_t-expansion", _GRAPH + (_T, _MAX_NODES), ("-t",), ()),
+    "find-odd-minor": ("search for an odd K_t-expansion", _GRAPH + (_T, _MAX_NODES), ("-t",), ()),
     "verify": ("check a serialized artifact against the graph", _GRAPH + (
         _CERT,
         (("--coloring",), str, None, "coloring file"),
@@ -73,14 +69,13 @@ COMMANDS = {
         (("--quotient",), str, None, "quotient file"),
     ), (), ("--cert", "--coloring", "--partition", "--quotient")),
     "lift": ("lift a quotient expansion to an odd expansion",
-             _GRAPH + (_T, _CERT, _MAX_ASSIGNMENTS), (), ("-t", "--cert")),
-    "report": ("full pipeline narrative for one t",
-               _GRAPH + (_T, _MAX_VERTICES, _MAX_NODES, _MAX_ASSIGNMENTS), ("-t",), ()),
+             _GRAPH + (_T, _CERT, _MAX_NODES), (), ("-t", "--cert")),
+    "report": ("full pipeline narrative for one t", _GRAPH + (_T, _MAX_NODES), ("-t",), ()),
     "bench": ("G(n, p) sweep to CSV", (
         (("--n",), str, None, "comma list of vertex counts, e.g. 5,8"),
         (("--p",), str, None, "comma list of edge probabilities"),
         (("--seeds",), str, None, "comma list or range, e.g. 1,2,3 or 1..3"),
-        _MAX_VERTICES, _MAX_NODES,
+        _MAX_NODES,
     ), ("--n", "--p", "--seeds"), ()),
 }
 
@@ -210,20 +205,20 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
 
     if args.command == "color":
         if args.mode == "exact":
-            c = _coloring.color_exact(g, max_vertices=args.max_vertices, max_nodes=args.max_nodes)
+            c = _coloring.color_exact(g, max_nodes=args.max_nodes)
         elif args.mode == "heuristic":
             c = _coloring.color_heuristic(g)
         else:
             p = parse_partition(_read(args.partition)) if args.partition else compute_partition(g)
             q = build_quotient(g, p)
-            c_h = _coloring.color_exact(q.h, max_vertices=args.max_vertices, max_nodes=args.max_nodes)
+            c_h = _coloring.color_exact(q.h, max_nodes=args.max_nodes)
             c = _coloring.compose_coloring(q, c_h)
         sys.stdout.write(_coloring.render_coloring(c))
         return 0
 
     if args.command in ("find-minor", "find-odd-minor"):
         finder = find_expansion if args.command == "find-minor" else find_odd_expansion
-        cert = finder(g, args.t, max_assignments=args.max_assignments)
+        cert = finder(g, args.t, max_nodes=args.max_nodes)
         if cert is None:
             sys.stdout.write("NOT FOUND\n")
             return 1
@@ -242,7 +237,7 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
             if isinstance(cert_h, OddExpansionCertificate):
                 raise ParseError("lift expects a plain expansion certificate for the quotient")
         else:
-            cert_h = find_expansion(q.h, args.t, max_assignments=args.max_assignments)
+            cert_h = find_expansion(q.h, args.t, max_nodes=args.max_nodes)
             if cert_h is None:
                 sys.stdout.write("NOT FOUND\n")
                 return 1
@@ -250,14 +245,7 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
         return 0
 
     if args.command == "report":
-        rep = reduction_report(
-            g,
-            args.t,
-            max_vertices=args.max_vertices,
-            max_nodes=args.max_nodes,
-            max_assignments=args.max_assignments,
-        )
-        sys.stdout.write(rep.render())
+        sys.stdout.write(reduction_report(g, args.t, max_nodes=args.max_nodes).render())
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")
@@ -304,17 +292,13 @@ def _bench(args: SimpleNamespace) -> int:
                 part = compute_partition(g)
                 q = build_quotient(g, part)
                 try:
-                    c_h = _coloring.color_exact(
-                        q.h, max_vertices=args.max_vertices, max_nodes=args.max_nodes
-                    )
+                    c_h = _coloring.color_exact(q.h, max_nodes=args.max_nodes)
                     chi_h = c_h.palette
                     composed = _coloring.compose_coloring(q, c_h).palette
                 except BudgetExceeded:
                     chi_h = composed = None
                 try:
-                    chi_g = _coloring.color_exact(
-                        g, max_vertices=args.max_vertices, max_nodes=args.max_nodes
-                    ).palette
+                    chi_g = _coloring.color_exact(g, max_nodes=args.max_nodes).palette
                 except BudgetExceeded:
                     chi_g = None
                 ratio = "" if not chi_h else f"{composed / chi_h:.4f}"

@@ -9,13 +9,10 @@ quotient's palette.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import BudgetExceeded, ContractViolation, ParseError
+from .errors import DEFAULT_MAX_NODES, BudgetExceeded, ContractViolation, ParseError
 from .graph import Graph, _Reader
 from .quotient import QuotientGraph
 from .verification import VerificationReport
-
-DEFAULT_MAX_VERTICES = 16
-DEFAULT_MAX_NODES = 2_000_000
 
 
 class Coloring(Record):
@@ -70,25 +67,16 @@ def _most_saturated(g: Graph, colors: list[int], neighbor_colors: list[set[int]]
     )
 
 
-def color_exact(
-    g: Graph,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> Coloring:
+def color_exact(g: Graph, *, max_nodes: int = DEFAULT_MAX_NODES) -> Coloring:
     """Minimum proper coloring by DSATUR branch and bound.
 
     A greedy clique seeds the lower bound (its vertices are pre-colored,
     which is sound up to color renaming); the saturation greedy seeds the
     upper bound.  Branching order is fixed, so the returned coloring is
-    deterministic.  Budgets are hard: exceeding them raises, it never
+    deterministic.  The budget counts work, not size: the search visits at
+    most max_nodes nodes, and one more raises BudgetExceeded; it never
     degrades to a heuristic answer.
     """
-    if g.n > max_vertices:
-        raise BudgetExceeded(
-            f"exact coloring budget is {max_vertices} vertices, graph has {g.n}; "
-            "raise the budget or use color_heuristic"
-        )
     if g.n == 0:
         return Coloring(())
 

@@ -13,6 +13,11 @@ class ContractViolation(ValueError):
     """A caller-supplied object fails the contract an operation requires."""
 
 
+# Search nodes either exhaustive search (exact coloring, expansion search)
+# may visit before it raises BudgetExceeded.
+DEFAULT_MAX_NODES = 2_000_000
+
+
 class BudgetExceeded(RuntimeError):
     """A search or coloring budget was hit; no partial answer is returned."""
 

@@ -10,18 +10,10 @@ construction and aborts loudly instead of returning a bad certificate.
 from __future__ import annotations
 
 from ._record import Record
-from .coloring import (
-    DEFAULT_MAX_NODES,
-    DEFAULT_MAX_VERTICES,
-    Coloring,
-    color_exact,
-    compose_coloring,
-    verify_coloring,
-)
-from .errors import ContractViolation, InvariantViolation
+from .coloring import Coloring, color_exact, compose_coloring, verify_coloring
+from .errors import DEFAULT_MAX_NODES, ContractViolation, InvariantViolation
 from .graph import Graph
 from .minors import (
-    DEFAULT_MAX_ASSIGNMENTS,
     ExpansionCertificate,
     ExpansionTree,
     OddExpansionCertificate,
@@ -159,28 +151,22 @@ class ReductionReport(Record):
         return "\n".join(out) + "\n"
 
 
-def reduction_report(
-    g: Graph,
-    t: int,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
-) -> ReductionReport:
+def reduction_report(g: Graph, t: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> ReductionReport:
     """Run partition → quotient → search, then lift or color.
 
     A quotient K_t-expansion lifts to a verified odd K_t-expansion of g;
     otherwise the quotient is exactly colored and the composed coloring
-    exhibits the factor-two bound.  Budget overruns propagate as errors.
+    exhibits the factor-two bound.  max_nodes bounds the search and the
+    coloring each; budget overruns propagate as errors.
     """
     p = compute_partition(g)
     q = build_quotient(g, p)
-    cert_h = find_expansion(q.h, t, max_assignments=max_assignments)
+    cert_h = find_expansion(q.h, t, max_nodes=max_nodes)
     if cert_h is not None:
         cert = lift_expansion(g, q, cert_h)
         passed = verify_odd_expansion(g, cert).passed
         return ReductionReport(g, t, p, q, cert, passed, None, None)
-    c_h = color_exact(q.h, max_vertices=max_vertices, max_nodes=max_nodes)
+    c_h = color_exact(q.h, max_nodes=max_nodes)
     composed = compose_coloring(q, c_h)
     if not verify_coloring(g, composed).passed:
         raise InvariantViolation("composed coloring is not proper")

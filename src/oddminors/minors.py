@@ -3,19 +3,27 @@
 A K_t-expansion is t vertex-disjoint trees plus one chosen connecting edge
 per tree pair.  The odd variant additionally carries a 2-coloring under
 which every tree edge is bichromatic and every connector monochromatic.
-Finders are exhaustive within a hard assignment budget; verifiers check a
-certificate clause by clause and never trust the finder.
+Finders are exhaustive within a hard budget of search nodes, on graphs
+whose (t+1)^n branch-set maps number at most MAX_ASSIGNMENTS; verifiers
+check a certificate clause by clause and never trust the finder.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .errors import BudgetExceeded, ContractViolation, ParseError, StructureError
+from .errors import (
+    DEFAULT_MAX_NODES,
+    BudgetExceeded,
+    ContractViolation,
+    ParseError,
+    StructureError,
+)
 from .graph import Graph, _Reader
 from .verification import VerificationReport
 
-# (t+1)^n must stay under this; covers n=10 at t=5 (6^10 ~ 60.5M).
-DEFAULT_MAX_ASSIGNMENTS = 100_000_000
+# The search refuses a graph whose (t+1)^n branch-set maps exceed this,
+# before it visits a node; it covers n=10 at t=5 (6^10 ~ 60.5M).
+MAX_ASSIGNMENTS = 100_000_000
 
 
 class ExpansionTree(Record):
@@ -188,7 +196,7 @@ def verify_odd_expansion(g: Graph, cert: OddExpansionCertificate) -> Verificatio
 
 
 def find_expansion(
-    g: Graph, t: int, *, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
+    g: Graph, t: int, *, max_nodes: int = DEFAULT_MAX_NODES
 ) -> ExpansionCertificate | None:
     """Exhaustive K_t-expansion search; None when no branch-set map works.
 
@@ -209,12 +217,16 @@ def find_expansion(
     the classes still to open.  Assigning i to k needs i ∈ R_k and leaves
     R_k as it is; only the reaches holding i are recomputed, once per
     node.  The outcome matches plain enumeration.
+
+    The search visits at most max_nodes nodes; one more raises
+    BudgetExceeded.  With t > n the answer is None at once; otherwise a
+    graph with (t+1)^n > MAX_ASSIGNMENTS is refused with BudgetExceeded.
     """
-    return _search(g, t, max_assignments, odd=False)
+    return _search(g, t, max_nodes, odd=False)
 
 
 def find_odd_expansion(
-    g: Graph, t: int, *, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
+    g: Graph, t: int, *, max_nodes: int = DEFAULT_MAX_NODES
 ) -> OddExpansionCertificate | None:
     """Exhaustive odd K_t-expansion search over branch-set maps.
 
@@ -230,22 +242,23 @@ def find_odd_expansion(
     the lexicographically first that make those connectors monochromatic.
     The first map that admits a solution yields the certificate; a map
     admits one exactly when some choice of cross edges, one per pair, can
-    be made monochromatic by flips of these trees.
+    be made monochromatic by flips of these trees.  Budget and size limit
+    are those of find_expansion.
     """
-    return _search(g, t, max_assignments, odd=True)
+    return _search(g, t, max_nodes, odd=True)
 
 
-def _search(g: Graph, t: int, max_assignments: int, odd: bool):
+def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     if t < 1:
         raise ContractViolation(f"t must be a positive integer, got {t}")
     n = g.n
-    total = (t + 1) ** n
-    if total > max_assignments:
-        raise BudgetExceeded(
-            f"(t+1)^n = {total} assignments exceeds the budget of {max_assignments}"
-        )
     if t > n:
         return None
+    total = (t + 1) ** n
+    if total > MAX_ASSIGNMENTS:
+        raise BudgetExceeded(
+            f"(t+1)^n = {total} assignments exceeds the limit of {MAX_ASSIGNMENTS}"
+        )
 
     adj = [0] * n
     for u, v in g.sorted_edges():
@@ -301,7 +314,13 @@ def _search(g: Graph, t: int, max_assignments: int, odd: bool):
                     return False
         return True
 
+    nodes = 0
+
     def search(i: int, used: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceeded(f"expansion search exceeded {max_nodes} search nodes")
         if i == n:
             # feasible() at i = n - 1 saw an empty suffix: every class is
             # connected, all t are open and every pair is joined.

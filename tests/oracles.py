@@ -7,7 +7,8 @@ in the library cannot hide itself in the tests.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import sys
+from collections.abc import Callable, Iterable
 from itertools import combinations, product
 
 from oddminors import (
@@ -200,6 +201,25 @@ def _odd_signable(g: Graph, classes: list[frozenset[int]]) -> bool:
     return False
 
 
+def count_calls(run: Callable[[], object], module, name: str = "search") -> tuple[object, int]:
+    """run()'s result and how many calls it made to functions called `name`
+    defined in `module`, counted by a profiler hook, not by the code itself."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == name and code.co_filename == module.__file__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
 # ---------------------------------------------------------------------------
 # Frozen copies of the first partition implementation: an ascending rescan
 # after every absorption, and a verifier that scans every edge once per part.
@@ -334,6 +354,9 @@ def _frozen_connected_components(g: Graph, subset) -> list[frozenset[int]]:
 # in place of the package's private certificate builder, so a test can record
 # every valid map the search reaches, or build the certificate the package
 # would.
+
+# The assignment budget the first search took as a parameter, at its default.
+FROZEN_MAX_ASSIGNMENTS = 100_000_000
 
 
 def frozen_search(g: Graph, t: int, max_assignments: int, odd: bool, certify):

@@ -69,13 +69,13 @@ def test_criterion_3_factor_two_bound_exact():
 
 
 def test_criterion_4_composition_properness():
-    # Parts can number up to n = 40, past the default exact-coloring cap,
-    # so the quotient budget is pinned at 64 vertices here.
+    # Parts can number up to n = 40; the exact colorer's budget counts
+    # search nodes, not vertices, so the default covers every quotient here.
     violations = []
     graphs = corpus()
     for name, g in graphs:
         q = build_quotient(g, compute_partition(g))
-        c_h = color_exact(q.h, max_vertices=64)
+        c_h = color_exact(q.h)
         c = compose_coloring(q, c_h)
         if not verify_coloring(g, c).passed or c.palette > 2 * c_h.palette:
             violations.append(name)

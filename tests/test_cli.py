@@ -11,8 +11,9 @@ import pytest
 from corpus import corpus
 
 import oddminors
-from oddminors import cli, coloring, minors
+from oddminors import cli
 from oddminors.cli import BENCH_COLUMNS, COMMANDS, run
+from oddminors.errors import DEFAULT_MAX_NODES
 from oddminors.graph import MAX_VERTICES, render_edge_list
 
 C5 = "5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
@@ -160,6 +161,15 @@ class TestPipelineCommands:
         code, out, _ = run(["find-minor", "-t", "3"], stdin_text=PATH4)
         assert code == 1
         assert out == "NOT FOUND\n"
+
+    @pytest.mark.parametrize(
+        "command,spec,t",
+        [("find-minor", ["cycle", "5"], "100"), ("find-odd-minor", ["petersen"], "11")],
+    )
+    def test_t_above_n_is_not_found_not_over_budget(self, command, spec, t):
+        # (t+1)^n is over the size limit, but t > n answers first.
+        graph = run(["gen", *spec])[1]
+        assert run([command, "-t", t], stdin_text=graph) == (1, "NOT FOUND\n", "")
 
     def test_find_odd_minor_bipartite(self):
         code, out, _ = run(["find-odd-minor", "-t", "3"], stdin_text="4\n0 1\n1 2\n2 3\n0 3\n")
@@ -371,8 +381,10 @@ class TestGoldenStdout:
 
 
 class TestBudgets:
+    BUDGETED = ("color", "find-minor", "find-odd-minor", "lift", "report", "bench")
+
     def test_flag_trips_budget(self):
-        code, out, err = run(["find-minor", "-t", "3", "--max-assignments", "1"], stdin_text=C5)
+        code, out, err = run(["find-minor", "-t", "3", "--max-nodes", "1"], stdin_text=C5)
         assert code == 3
         assert out == ""
         assert "error:" in err
@@ -383,28 +395,37 @@ class TestBudgets:
             monkeypatch.delenv(name, raising=False)
         clean = [run(argv, stdin_text=C5) for argv in argvs]
         monkeypatch.setenv("ODDMINORS_MAX_ASSIGNMENTS", "1")
-        monkeypatch.setenv("ODDMINORS_MAX_NODES", "lots")
+        monkeypatch.setenv("ODDMINORS_MAX_NODES", "1")
         assert [run(argv, stdin_text=C5) for argv in argvs] == clean
 
-    @pytest.mark.parametrize(
-        "flag,default",
-        [
-            ("--max-vertices", coloring.DEFAULT_MAX_VERTICES),
-            ("--max-nodes", coloring.DEFAULT_MAX_NODES),
-            ("--max-assignments", minors.DEFAULT_MAX_ASSIGNMENTS),
-        ],
-    )
+    @pytest.mark.parametrize("flag,default", [("--max-nodes", DEFAULT_MAX_NODES)])
     def test_help_shows_budget_default(self, flag, default):
-        out = run(["report", "-h"])[1]
-        lines = out.splitlines()
-        text = lines[lines.index(f"  {flag} N") + 1]
-        assert text.endswith(f"(default: {default})")
+        # --max-nodes is the one budget flag, on every command that searches.
+        for command, (_, flags, _, _) in COMMANDS.items():
+            out = run([command, "-h"])[1]
+            lines = out.splitlines()
+            budgets = [line.split()[0] for line in lines if line.startswith("  --max-")]
+            assert budgets == ([flag] if command in self.BUDGETED else []), command
+            if budgets:
+                text = lines[lines.index(f"  {flag} N") + 1]
+                assert text.endswith(f"(default: {default})")
 
-    def test_exact_coloring_vertex_budget(self):
-        big = run(["gen", "cycle", "40"])[1]
-        code, _, err = run(["color", "--mode", "exact"], stdin_text=big)
-        assert code == 3
-        assert "color_heuristic" in err
+    @pytest.mark.parametrize("flag", ["--max-vertices", "--max-assignments"])
+    def test_removed_budget_flag_is_unrecognized(self, flag):
+        code, out, err = run(["report", "-t", "3", flag, "5"], stdin_text=C5)
+        assert (code, out) == (2, "")
+        assert f"unrecognized argument '{flag}'" in err
+
+    def test_exact_coloring_vertex_budget(self, tmp_path):
+        # Size alone no longer refuses: both graphs have 40 vertices, and the
+        # node budget covers their search.
+        for spec in (["cycle", "40"], ["gnp", "40", "0.2"]):
+            graph = run(["gen", *spec])[1]
+            code, out, err = run(["color", "--mode", "exact"], stdin_text=graph)
+            assert (code, err) == (0, ""), spec
+            art = tmp_path / "c.txt"
+            art.write_text(out)
+            assert run(["verify", "--coloring", str(art)], stdin_text=graph) == (0, "PASS\n", ""), spec
 
 
 class TestBench:
@@ -428,21 +449,22 @@ class TestBench:
         assert ranged == listed
 
     def test_budget_blanks_not_errors(self):
-        # Sparse seed has 10 parts (quotient over budget, whole row blank);
-        # dense seed has 3 (only the chi(G) column blanks out).  n = 18
-        # exceeds the vertex budget either way.  Exit stays 0.
+        # Five search nodes cover both quotients (11 and 4 parts) and the
+        # sparse graph, whose greedy coloring meets its clique bound; the
+        # dense graph's chi(G) needs more, so only that cell blanks out.
+        # Exit stays 0.
         code, out, _ = run(
-            ["bench", "--n", "18", "--p", "0.05,0.5", "--seeds", "1",
-             "--max-vertices", "4"]
+            ["bench", "--n", "18", "--p", "0.05,0.5", "--seeds", "2",
+             "--max-nodes", "5"]
         )
         assert code == 0
         sparse, dense = list(csv.reader(io.StringIO(out)))[1:]
-        assert sparse[4:] == ["", "", "", ""]
+        assert "" not in sparse
         assert dense[4] != "" and dense[7] != "" and dense[6] == ""
 
     def test_rows_match_a_csv_writer_rendering(self):
         code, out, _ = run(
-            ["bench", "--n", "6,18", "--p", "0.05,0.5", "--seeds", "1..2", "--max-vertices", "4"]
+            ["bench", "--n", "6,18", "--p", "0.05,0.5", "--seeds", "1..2", "--max-nodes", "5"]
         )
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
@@ -505,8 +527,8 @@ class TestUsage:
             ["lift", "-t", "0"],
             ["report", "-t", "0"],
             ["color", "--mode", "exact", "--max-nodes", "-1"],
-            ["report", "-t", "3", "--max-vertices", "-1"],
-            ["find-minor", "-t", "3", "--max-assignments", "-5"],
+            ["report", "-t", "3", "--max-nodes", "-1"],
+            ["find-minor", "-t", "3", "--max-nodes", "-5"],
             ["bench", "--n", "4", "--p", "0.5", "--seeds", "1", "--max-nodes=-1"],
         ],
     )
@@ -540,10 +562,10 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["report", "-t", "3", "--max-assignments", "100000"],
-            ["report", "-t3", "--max-assignments=100000"],
-            ["report", "--max-assignments=100000", "-t=3"],
-            ["report", "--format=edge-list", "-t", "3", "--max-assignments", "100000"],
+            ["report", "-t", "3", "--max-nodes", "100000"],
+            ["report", "-t3", "--max-nodes=100000"],
+            ["report", "--max-nodes=100000", "-t=3"],
+            ["report", "--format=edge-list", "-t", "3", "--max-nodes", "100000"],
         ],
     )
     def test_flag_forms_agree(self, argv):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oddminors.coloring as coloring
 from corpus import small_corpus
 from oddminors import (
     BudgetExceeded,
@@ -16,12 +17,13 @@ from oddminors import (
     compose_coloring,
     compute_partition,
     cycle,
+    gnp,
     parse_coloring,
     petersen,
     render_coloring,
     verify_coloring,
 )
-from oracles import brute_chromatic_number
+from oracles import brute_chromatic_number, count_calls
 
 
 class TestColorExact:
@@ -52,8 +54,17 @@ class TestColorExact:
         assert verify_coloring(g, c1).passed, name
 
     def test_vertex_budget(self):
-        with pytest.raises(BudgetExceeded, match="color_heuristic"):
-            color_exact(Graph(17))
+        # There is no vertex budget: graph size alone never refuses.
+        assert color_exact(Graph(17)).palette == 1
+        assert color_exact(cycle(40), max_nodes=0).palette == 2
+
+    @pytest.mark.parametrize("g", [petersen(), gnp(40, 0.2, 0)])
+    def test_node_cap_counts_search_calls(self, g):
+        answer, k = count_calls(lambda: color_exact(g), coloring)
+        assert k > 1
+        assert color_exact(g, max_nodes=k) == answer
+        with pytest.raises(BudgetExceeded, match=f"exceeded {k - 1} search nodes"):
+            color_exact(g, max_nodes=k - 1)
 
     def test_node_budget(self):
         # Petersen needs actual branching: the clique bound is 2, chi is 3.

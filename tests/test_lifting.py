@@ -155,11 +155,13 @@ class TestReductionReport:
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):
-            reduction_report(complete(5), 3, max_assignments=1)
+            reduction_report(complete(5), 3, max_nodes=1)
 
     def test_misspelled_budget_is_an_error(self):
-        with pytest.raises(TypeError):
-            reduction_report(complete(5), 3, max_assignment=1)
+        # max_nodes is the only budget; the two removed ones are unknown too.
+        for name in ("max_node", "max_vertices", "max_assignments"):
+            with pytest.raises(TypeError):
+                reduction_report(complete(5), 3, **{name: 1})
 
     @pytest.mark.parametrize("name,g", small_corpus(8))
     def test_dichotomy_on_corpus(self, name, g):

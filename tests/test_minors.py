@@ -21,19 +21,23 @@ from oddminors import (
     find_odd_expansion,
     gnp,
     parse_certificate,
+    petersen,
     render_certificate,
     verify_expansion,
     verify_odd_expansion,
 )
+from oddminors.errors import DEFAULT_MAX_NODES
 from oracles import (
+    FROZEN_MAX_ASSIGNMENTS,
     brute_is_bipartite,
+    count_calls,
     frozen_certify,
     frozen_search,
     has_odd_expansion_naive,
     naive_find_branch_sets,
 )
 
-BUDGET = minors.DEFAULT_MAX_ASSIGNMENTS
+BUDGET = FROZEN_MAX_ASSIGNMENTS
 # Seeded G(n, p) with n <= 9 for the differential tests of the search.
 SEARCH_GRAPHS = [
     (f"gnp({n},{p},seed={7000 + 10 * n + k})", gnp(n, p, 7000 + 10 * n + k))
@@ -192,6 +196,10 @@ class TestFindExpansion:
 
     def test_t_larger_than_n(self):
         assert find_expansion(complete(4), 5) is None
+        # Answered before the (t+1)^n size limit, which these pairs exceed.
+        for finder, g, t in ((find_expansion, cycle(5), 100), (find_odd_expansion, petersen(), 11)):
+            assert (t + 1) ** g.n > minors.MAX_ASSIGNMENTS
+            assert finder(g, t) is None
 
     def test_t_must_be_positive(self):
         with pytest.raises(ContractViolation):
@@ -202,11 +210,33 @@ class TestFindExpansion:
         assert cert.trees[0].vertices == frozenset({0})
         assert cert.connectors == {}
 
-    def test_budget_boundary(self):
-        g = cycle(9)
+    def test_budget_boundary(self, monkeypatch):
+        # The (t+1)^n size limit is the constant MAX_ASSIGNMENTS: 4^13 maps
+        # are inside it and 4^14 are not.
+        assert find_expansion(cycle(13), 3) is not None
+        with pytest.raises(BudgetExceeded, match="assignments"):
+            find_expansion(cycle(14), 3)
+        monkeypatch.setattr(minors, "MAX_ASSIGNMENTS", 4**9 - 1)
         with pytest.raises(BudgetExceeded):
-            find_expansion(g, 3, max_assignments=4**9 - 1)
-        assert find_expansion(g, 3, max_assignments=4**9) is not None
+            find_expansion(cycle(9), 3)
+        monkeypatch.setattr(minors, "MAX_ASSIGNMENTS", 4**9)
+        assert find_expansion(cycle(9), 3) is not None
+
+    @pytest.mark.parametrize(
+        "finder,g,t",
+        [
+            (find_expansion, petersen(), 4),  # found
+            (find_expansion, cycle(7), 4),  # not found
+            (find_odd_expansion, petersen(), 4),  # found
+            (find_odd_expansion, complete_bipartite(3, 3), 3),  # not found
+        ],
+    )
+    def test_node_cap_counts_search_calls(self, finder, g, t):
+        answer, k = count_calls(lambda: finder(g, t), minors)
+        assert k > 1
+        assert finder(g, t, max_nodes=k) == answer
+        with pytest.raises(BudgetExceeded, match=f"exceeded {k - 1} search nodes"):
+            finder(g, t, max_nodes=k - 1)
 
     @pytest.mark.parametrize("name,g", small_corpus(6))
     def test_agrees_with_naive_lex_first(self, name, g):
@@ -262,15 +292,17 @@ class TestSearchAgainstFrozen:
             ), (name, t)
 
     def test_same_guards(self):
+        # Both refuse a graph over the size limit: 4^14 maps at t = 3.
+        assert BUDGET == minors.MAX_ASSIGNMENTS
         for search in (
-            minors._search,
-            lambda *args: frozen_search(*args, frozen_certify),
+            lambda g, t, odd: minors._search(g, t, DEFAULT_MAX_NODES, odd),
+            lambda g, t, odd: frozen_search(g, t, BUDGET, odd, frozen_certify),
         ):
             with pytest.raises(ContractViolation):
-                search(complete(3), 0, BUDGET, False)
+                search(complete(3), 0, False)
             with pytest.raises(BudgetExceeded):
-                search(cycle(9), 3, 4**9 - 1, False)
-            assert search(complete(4), 5, BUDGET, True) is None
+                search(cycle(14), 3, False)
+            assert search(complete(4), 5, True) is None
 
 
 class TestCertify:
