@@ -44,27 +44,59 @@ def color_heuristic(g: Graph) -> Coloring:
     break ties by higher degree then lower id, and give it the least
     color absent from its neighborhood.
     """
-    colors: list[int] = [-1] * g.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    colors, neighbor_colors, pick, down, _ = _dsatur(g)
     for _ in range(g.n):
-        v = _most_saturated(g, colors, neighbor_colors)
+        v = pick()
         c = 0
         while c in neighbor_colors[v]:
             c += 1
-        colors[v] = c
-        for w in g.neighbors(v):
-            if colors[w] == -1:
-                neighbor_colors[w].add(c)
+        down(v, c)
     return Coloring(tuple(colors))
 
 
-def _most_saturated(g: Graph, colors: list[int], neighbor_colors: list[set[int]]) -> int:
-    """The DSATUR choice: the uncolored vertex with the most distinct
-    neighbor colors, ties broken by higher degree then lower id."""
-    return min(
-        (u for u in range(g.n) if colors[u] == -1),
-        key=lambda u: (-len(neighbor_colors[u]), -g.degree(u), u),
-    )
+def _dsatur(g: Graph):
+    """A partial coloring that keeps the DSATUR choice up to date.
+
+    pick() returns the uncolored vertex with the most distinct neighbor
+    colors, ties broken by higher degree then lower id, or -1 once every
+    vertex is colored; down(v, c) colors v and returns the neighbors that
+    gained color c, and up(v, c, touched) undoes it.  Each vertex keeps
+    one integer key, saturation * n plus its tie rank, and a colored
+    vertex's key is pushed below zero, so a choice is one max over n ints
+    rather than a scan that rebuilds every sort key.  Colored neighbors
+    are updated too (their keys stay negative); that stays exact because
+    down and up calls nest.
+    """
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    colors = [-1] * n
+    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    key = [0] * n
+    for rank, v in enumerate(sorted(range(n), key=lambda v: (-len(adj[v]), v))):
+        key[v] = n - 1 - rank
+    colored = n * (n + 1)  # above every key: saturation and rank are < n
+
+    def pick() -> int:
+        top = max(key)
+        return key.index(top) if top >= 0 else -1
+
+    def down(v: int, c: int) -> list[int]:
+        colors[v] = c
+        key[v] -= colored
+        touched = [w for w in adj[v] if c not in neighbor_colors[w]]
+        for w in touched:
+            neighbor_colors[w].add(c)
+            key[w] += n
+        return touched
+
+    def up(v: int, c: int, touched: list[int]) -> None:
+        colors[v] = -1
+        key[v] += colored
+        for w in touched:
+            neighbor_colors[w].remove(c)
+            key[w] -= n
+
+    return colors, neighbor_colors, pick, down, up
 
 
 def color_exact(g: Graph, *, max_nodes: int = DEFAULT_MAX_NODES) -> Coloring:
@@ -87,41 +119,23 @@ def color_exact(g: Graph, *, max_nodes: int = DEFAULT_MAX_NODES) -> Coloring:
     if len(clique) == best_k:
         return greedy
 
-    colors = [-1] * g.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    colors, neighbor_colors, pick, down, up = _dsatur(g)
     for rank, v in enumerate(clique):
-        colors[v] = rank
-        for w in g.neighbors(v):
-            if colors[w] == -1:
-                neighbor_colors[w].add(rank)
+        down(v, rank)
     start_k = len(clique)
     nodes = 0
-
-    def down(v: int, c: int) -> list[int]:
-        colors[v] = c
-        touched = []
-        for w in g.neighbors(v):
-            if colors[w] == -1 and c not in neighbor_colors[w]:
-                neighbor_colors[w].add(c)
-                touched.append(w)
-        return touched
-
-    def up(v: int, c: int, touched: list[int]) -> None:
-        colors[v] = -1
-        for w in touched:
-            neighbor_colors[w].remove(c)
 
     def search(used: int) -> None:
         nonlocal best_k, best, nodes
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded(f"exact coloring exceeded {max_nodes} search nodes")
-        if all(c != -1 for c in colors):
+        v = pick()
+        if v == -1:
             if used < best_k:
                 best_k = used
                 best = colors[:]
             return
-        v = _most_saturated(g, colors, neighbor_colors)
         for c in range(used):
             if c in neighbor_colors[v]:
                 continue

@@ -462,6 +462,29 @@ class TestBench:
         assert "" not in sparse
         assert dense[4] != "" and dense[7] != "" and dense[6] == ""
 
+    def test_quotient_overrun_blanks_its_cells(self, monkeypatch):
+        # Force the quotient's exact coloring over budget (every quotient
+        # here has fewer vertices than its 18-vertex graph): chi_H,
+        # composed and ratio blank out, chi(G) is still tried under the
+        # same node budget, the row still prints and exit stays 0.
+        real = cli._coloring.color_exact
+
+        def quotient_overruns(g, *, max_nodes):
+            if g.n < 18:
+                raise cli.BudgetExceeded("forced quotient overrun")
+            return real(g, max_nodes=max_nodes)
+
+        monkeypatch.setattr(cli._coloring, "color_exact", quotient_overruns)
+        code, out, _ = run(
+            ["bench", "--n", "18", "--p", "0.05,0.5", "--seeds", "2",
+             "--max-nodes", "5"]
+        )
+        assert code == 0
+        sparse, dense = list(csv.reader(io.StringIO(out)))[1:]
+        assert sparse[:3] == ["18", "0.05", "2"] and sparse[3] != ""
+        assert sparse[4:6] == ["", ""] and sparse[6] != "" and sparse[7] == ""
+        assert dense[3] != "" and dense[4:] == ["", "", "", ""]
+
     def test_rows_match_a_csv_writer_rendering(self):
         code, out, _ = run(
             ["bench", "--n", "6,18", "--p", "0.05,0.5", "--seeds", "1..2", "--max-nodes", "5"]
