@@ -5,13 +5,23 @@ quotient / coloring pipeline, search for (odd) K_t-expansions, verify
 serialized artifacts, lift quotient expansions, and sweep a G(n, p) grid
 into CSV.  Graphs come from stdin or --input; everything else is flags.
 
-Exit codes: 0 success or PASS, 1 FAIL or NOT FOUND, 2 usage or malformed
-input, 3 search/coloring budget exceeded.
+Exit codes: 0 success or PASS, 1 FAIL or NOT FOUND (or output that could not
+be written), 2 usage or malformed input, 3 search/coloring budget exceeded.
+
+``run`` is the library entry point: argv and stdin text in, the exit code and
+both streams back, with no process-wide effect.  ``main`` does the same on the
+real streams and returns the code.  ``entry`` is what ``python -m
+oddminors.cli`` and the ``oddminors`` console script run: ``main``, then, once
+the output is flushed, ``os._exit`` with its code, so the process skips the
+interpreter's teardown (final GC passes and module clean-up), which is a
+sizeable share of a short request.  An exception that escapes ``main`` still
+takes the normal interpreter exit.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import sys
 from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
@@ -272,10 +282,10 @@ BENCH_COLUMNS = (
 
 
 def _bench(args: SimpleNamespace) -> int:
-    from .graph import gnp
+    from .graph import check_order, gnp
 
     try:
-        ns = [int(x) for x in args.n.split(",")]
+        ns = [check_order(int(x)) for x in args.n.split(",")]
         ps = [float(x) for x in args.p.split(",")]
         seeds = _seed_list(args.seeds)
     except ValueError as exc:
@@ -332,10 +342,27 @@ def _run(argv: list[str], read_stdin: Callable[[], str]) -> tuple[int, str, str]
 def main() -> int:
     # stdin is read only once the parsed command asks for a graph without -i.
     code, out, err = _run(sys.argv[1:], sys.stdin.read)
-    sys.stdout.write(out)
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, a full disk: buffered or not, one rule
+        code, err = 1, f"{err}error: cannot write output: {exc.strerror or exc}\n"
     sys.stderr.write(err)
     return code
 
 
+def entry() -> None:
+    """Run ``main`` and end the process with its code, without interpreter teardown.
+
+    Never returns.  ``main`` has flushed stdout (or reported why it could
+    not); stderr is flushed here.  ``os._exit`` then skips the final GC passes, module
+    clean-up and the exit-time flush, which would retry stdout after a failed
+    write.  Nothing in the package registers exit-time work.
+    """
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -63,7 +63,9 @@ class Graph:
             add(v)
             deg[u] += 1
             deg[v] += 1
+        # Each temporary is dropped once used, to lower the peak of a parse.
         starts = [0, *accumulate(deg)]
+        del deg
         ends = starts[:-1]  # vertex x's run is flat[starts[x]:ends[x]]
         flat = [0] * len(pairs)
         it = iter(pairs)
@@ -72,8 +74,11 @@ class Graph:
             ends[u] += 1
             flat[ends[v]] = u
             ends[v] += 1
+        del pairs, it
         runs = tuple(flat)
+        del flat
         adj = [runs[s:e] for s, e in zip(starts, ends)]
+        del runs, starts, ends
         if not ordered:
             adj = [tuple(sorted(set(out))) for out in adj]
         self.n = n
@@ -373,13 +378,15 @@ def generate(spec: str, seed: int = 0) -> Graph:
     kind, args = tokens[0], tokens[1:]
     try:
         if kind == "complete" and len(args) == 1:
-            return complete(int(args[0]))
+            return complete(check_order(int(args[0])))
         if kind == "cycle" and len(args) == 1:
-            return cycle(int(args[0]))
+            return cycle(check_order(int(args[0])))
         if kind == "complete-bipartite" and len(args) == 2:
-            return complete_bipartite(int(args[0]), int(args[1]))
+            a, b = int(args[0]), int(args[1])
+            check_order(a + b)
+            return complete_bipartite(a, b)
         if kind == "gnp" and len(args) == 2:
-            return gnp(int(args[0]), float(args[1]), seed)
+            return gnp(check_order(int(args[0])), float(args[1]), seed)
         if kind == "petersen" and not args:
             return petersen()
     except ValueError as exc:
@@ -390,19 +397,30 @@ def generate(spec: str, seed: int = 0) -> Graph:
     )
 
 
-# The largest vertex count a graph file may declare.  The parsers allocate
-# per vertex from the header before any edge is read, so a larger count is
-# refused as a parse error, not left to fail as an allocation.
+# The largest vertex count a graph file, generator spec or bench grid may ask
+# for.  The parsers allocate per vertex from the header before any edge is
+# read, and the generators build their edge list before ``Graph`` sees n, so a
+# larger count is refused as malformed input, not left to fail as an
+# allocation or to run for ever.
 MAX_VERTICES = 10**7
+
+
+def check_order(n: int) -> int:
+    """``n`` when it is at most ``MAX_VERTICES``; else a ValueError naming the ceiling.
+
+    Each caller turns the ValueError into a ``ParseError`` (exit 2): a
+    ``_Reader`` body, ``generate`` and the CLI's ``bench`` grid.
+    """
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
+    return n
 
 
 def _vertex_count(token: str, lineno: int) -> int:
     n = _int(token)
     if n < 0:
         raise ParseError(f"line {lineno}: vertex count must be non-negative")
-    if n > MAX_VERTICES:
-        raise ParseError(f"line {lineno}: vertex count {n} exceeds {MAX_VERTICES}")
-    return n
+    return check_order(n)
 
 
 def _int(token: str) -> int:

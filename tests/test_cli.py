@@ -42,6 +42,24 @@ class TestGen:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "spec,count",
+        [
+            ("cycle 100000000000000000000", 10**20),
+            ("complete 100000000000000000000", 10**20),
+            ("complete-bipartite 100000000000000000000 1", 10**20 + 1),
+            ("complete-bipartite 6000000 6000000", 12 * 10**6),
+            ("gnp 100000000000000000000 0.5", 10**20),
+            (f"cycle {MAX_VERTICES + 1}", MAX_VERTICES + 1),
+        ],
+    )
+    def test_size_above_the_ceiling(self, spec, count):
+        # Each generator builds its edge list before Graph sees n; a count
+        # above the ceiling exits 2 at once instead of running for ever.
+        code, out, err = run(["gen", *spec.split()])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad generator spec {spec!r}: vertex count {count} exceeds {MAX_VERTICES}\n"
+
 
 class TestGraphInput:
     def test_stdin_and_file_agree(self, tmp_path):
@@ -496,7 +514,7 @@ class TestBench:
         csv.writer(rendered, lineterminator="\n").writerows(rows)
         assert out == rendered.getvalue()
 
-    @pytest.mark.parametrize("n,p", [("4", "1.5"), ("0", "0.5")])
+    @pytest.mark.parametrize("n,p", [("4", "1.5"), ("0", "0.5"), ("100000000000000000000", "0.5")])
     def test_out_of_range_grid_rejected(self, n, p):
         code, out, err = run(["bench", "--n", n, "--p", p, "--seeds", "1"])
         assert (code, out) == (2, "")
@@ -595,6 +613,16 @@ class TestUsage:
         assert run(argv, stdin_text=C5) == run(["report", "-t", "3"], stdin_text=C5)
 
 
+# One request per exit code 0, 1, 2 and 3, as (argv, stdin text).
+EXIT_CASES = [
+    (["partition"], C5),
+    (["find-minor", "-t", "4"], C5),
+    (["partition"], "5\n0 one\n"),
+    (["find-minor", "-t", "3", "--max-nodes", "1"], C5),
+]
+EXIT_IDS = ["exit-0", "exit-1", "exit-2", "exit-3"]
+
+
 class _UnreadableStdin:
     def read(self):
         raise AssertionError("stdin must not be read")
@@ -629,19 +657,78 @@ class TestMainStdin:
         code, out, _ = self._main(monkeypatch, capsys, "partition", stdin=io.StringIO(C5))
         assert (code, out) == (0, "0: A=0,2 B=1,3\n1: A=4 B=\nPASS\n")
 
+    @pytest.mark.parametrize("argv,text", EXIT_CASES, ids=EXIT_IDS)
+    def test_returns_the_code_of_run(self, monkeypatch, capsys, argv, text):
+        # In process, main() returns its code; only entry() ends the process.
+        assert self._main(monkeypatch, capsys, *argv, stdin=io.StringIO(text)) == run(argv, text)
+
+
+def _python(*args, unbuffered=False, **kwargs):
+    """Run the interpreter on ``args``, text mode, with this checkout's package importable.
+
+    Standard streams are block-buffered unless ``unbuffered``, whatever
+    PYTHONUNBUFFERED the caller has.  stdout and stderr are captured unless
+    given.
+    """
+    src = os.path.dirname(os.path.dirname(oddminors.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+class TestProcessExit:
+    """``python -m oddminors.cli`` ends through ``entry``: the same streams and
+    code as ``run``, all of the output, and one error line for a closed stdout."""
+
+    CLI = ("-m", "oddminors.cli")
+    BIG = ["gen", "gnp", "400", "0.5", "--seed", "1"]  # about 297 KB of edge list
+    BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+    @BUFFERING
+    @pytest.mark.parametrize("argv,text", EXIT_CASES, ids=EXIT_IDS)
+    def test_same_result_as_run(self, argv, text, unbuffered):
+        proc = _python(*self.CLI, *argv, input=text, unbuffered=unbuffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(argv, text)
+
+    @BUFFERING
+    def test_large_output_arrives_whole(self, tmp_path, unbuffered):
+        code, expected, _ = run(self.BIG)
+        assert code == 0 and len(expected) > 64 * 1024
+        piped = _python(*self.CLI, *self.BIG, unbuffered=unbuffered)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, expected, "")
+        path = tmp_path / "out.txt"
+        with open(path, "w") as fh:
+            to_file = _python(*self.CLI, *self.BIG, stdout=fh, unbuffered=unbuffered)
+        assert (to_file.returncode, to_file.stderr) == (0, "")
+        assert path.read_text() == expected
+
+    @BUFFERING
+    @pytest.mark.parametrize("argv", [["gen", "cycle", "5"], BIG], ids=["small", "large"])
+    def test_closed_stdout_is_one_error_line(self, argv, unbuffered):
+        # The reader has exited before the process writes: the write (or,
+        # for output held in the buffer, the flush) fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _python(*self.CLI, *argv, stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write output: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
 
 class TestStartup:
-    HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "csv", "ast", "dis"}
+    HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "csv", "ast", "dis", "typing"}
     LAYERS = ("graph", "partition", "quotient", "coloring", "minors", "lifting")
 
-    def _python(self, *args):
-        src = os.path.dirname(os.path.dirname(oddminors.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
-
     def _modules(self, statement):
-        result = self._python("-c", f"{statement}\nimport sys\nprint(' '.join(sys.modules))")
+        result = _python("-c", f"{statement}\nimport sys\nprint(' '.join(sys.modules))")
         assert result.returncode == 0, result.stderr
         return set(result.stdout.split())
 
@@ -653,7 +740,7 @@ class TestStartup:
 
     def _extensions(self, statement):
         """Names of the loaded modules that are shared libraries."""
-        result = self._python("-c", (
+        result = _python("-c", (
             f"{statement}\nimport sys\nprint(' '.join(name for name, m in list(sys.modules.items())"
             " if str(getattr(m, '__file__', '')).endswith(('.so', '.pyd'))))"
         ))
@@ -681,6 +768,6 @@ class TestStartup:
         self._modules(statement)
 
     def test_help_runs_without_docstrings(self):
-        result = self._python("-OO", "-m", "oddminors.cli", "-h")
+        result = _python("-OO", "-m", "oddminors.cli", "-h")
         assert (result.returncode, result.stderr) == (0, "")
         assert "find-odd-minor" in result.stdout
