@@ -36,7 +36,7 @@ from .graph import (
     render_dimacs,
     render_edge_list,
 )
-from .lifting import LiftedTree, ReductionReport, lift_expansion, reduction_report
+from .lifting import ReductionReport, lift_expansion, reduction_report
 from .minors import (
     ExpansionCertificate,
     ExpansionTree,
@@ -77,7 +77,6 @@ __all__ = [
     "ExpansionTree",
     "Graph",
     "InvariantViolation",
-    "LiftedTree",
     "OddExpansionCertificate",
     "ParseError",
     "QuotientGraph",

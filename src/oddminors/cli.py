@@ -46,10 +46,7 @@ from .quotient import QuotientGraph, build_quotient, parse_quotient, render_quot
 # A flag is (option strings, type, default, help).  The type is int, str or a
 # tuple of allowed values.  Option strings without a leading dash name the
 # positional words, as in ``gen``'s spec.
-_GRAPH = (
-    (("-i", "--input"), str, None, "read the graph from this file, not stdin"),
-    (("--format",), ("auto", "edge-list", "dimacs"), "auto", "input graph format"),
-)
+_GRAPH = ((("-i", "--input"), str, None, "read the graph from this file, not stdin"),)
 _T = (("-t",), int, None, "clique size t")
 _CERT = (("--cert",), str, None, "expansion certificate file (verify also takes odd ones)")
 _REUSE = (("--partition",), str, None, "reuse a serialized partition instead of recomputing")
@@ -173,11 +170,6 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load_graph(args: SimpleNamespace, read_stdin: Callable[[], str]) -> Graph:
-    text = read_stdin() if args.input is None else _read(args.input)
-    return parse_graph(text, args.format)
-
-
 def _seed_list(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = spec.split("..")
@@ -199,7 +191,7 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
     if args.command == "bench":
         return _bench(args)
 
-    g = _load_graph(args, read_stdin)
+    g = parse_graph(read_stdin() if args.input is None else _read(args.input))
 
     if args.command == "partition":
         p = compute_partition(g)
@@ -282,10 +274,12 @@ BENCH_COLUMNS = (
 
 
 def _bench(args: SimpleNamespace) -> int:
-    from .graph import check_order, gnp
+    from .graph import check_order, check_pairs, gnp
 
     try:
         ns = [check_order(int(x)) for x in args.n.split(",")]
+        for n in ns:
+            check_pairs(max(n, 0) * (n - 1) // 2)
         ps = [float(x) for x in args.p.split(",")]
         seeds = _seed_list(args.seeds)
     except ValueError as exc:

@@ -265,21 +265,13 @@ def _dimacs_items(lines: Iterable[tuple[int, str]]) -> Iterator:
         raise ParseError("missing 'p edge n m' header")
 
 
-def parse_graph(text: str, fmt: str = "auto") -> Graph:
-    """Parse a graph in ``edge-list`` or ``dimacs`` format.
-
-    ``auto`` detects DIMACS by a leading ``p``/``c`` line.
-    """
-    if fmt == "auto":
-        fmt = detect_format(text)
-    if fmt == "edge-list":
-        return parse_edge_list(text)
-    if fmt == "dimacs":
-        return parse_dimacs(text)
-    raise ParseError(f"unknown graph format {fmt!r}")
+def parse_graph(text: str) -> Graph:
+    """Parse a graph in the format ``detect_format`` names: DIMACS or edge list."""
+    return parse_dimacs(text) if detect_format(text) == "dimacs" else parse_edge_list(text)
 
 
 def detect_format(text: str) -> str:
+    """``"dimacs"`` when the first line that is not blank starts with ``p`` or ``c``, else ``"edge-list"``."""
     for _, line in _lines(text, None):
         return "dimacs" if line.startswith(("p", "c")) else "edge-list"
     return "edge-list"
@@ -377,16 +369,17 @@ def generate(spec: str, seed: int = 0) -> Graph:
         raise ParseError("empty generator spec")
     kind, args = tokens[0], tokens[1:]
     try:
-        if kind == "complete" and len(args) == 1:
-            return complete(check_order(int(args[0])))
+        if (kind, len(args)) in (("complete", 1), ("gnp", 2)):
+            n = check_order(int(args[0]))
+            check_pairs(max(n, 0) * (n - 1) // 2)
+            return complete(n) if kind == "complete" else gnp(n, float(args[1]), seed)
         if kind == "cycle" and len(args) == 1:
             return cycle(check_order(int(args[0])))
         if kind == "complete-bipartite" and len(args) == 2:
             a, b = int(args[0]), int(args[1])
             check_order(a + b)
+            check_pairs(max(a, 0) * max(b, 0))
             return complete_bipartite(a, b)
-        if kind == "gnp" and len(args) == 2:
-            return gnp(check_order(int(args[0])), float(args[1]), seed)
         if kind == "petersen" and not args:
             return petersen()
     except ValueError as exc:
@@ -414,6 +407,17 @@ def check_order(n: int) -> int:
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
     return n
+
+
+# The most vertex pairs a generator may walk, checked before any edge is built
+# or draw made: n(n-1)/2 for ``complete`` and ``gnp``, a*b for ``complete-bipartite``.
+MAX_PAIRS = 10**7
+
+
+def check_pairs(pairs: int) -> None:
+    """A ValueError naming the ceiling when ``pairs`` exceeds ``MAX_PAIRS``; callers as ``check_order``."""
+    if pairs > MAX_PAIRS:
+        raise ValueError(f"vertex pair count {pairs} exceeds {MAX_PAIRS}")
 
 
 def _vertex_count(token: str, lineno: int) -> int:

@@ -24,75 +24,45 @@ from .minors import (
     verify_expansion,
     verify_odd_expansion,
 )
-from .partition import BcpPartition, compute_partition, render_partition
+from .partition import compute_partition, render_partition
 from .quotient import QuotientGraph, build_quotient
 
 
-class LiftedTree(Record):
-    """One blown-up tree: spans G[X_i] for every part i of its quotient tree."""
-
-    label: int
-    parts: tuple[int, ...]
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    coloring: dict[int, int]
-
-
-def lift_tree(g: Graph, q: QuotientGraph, label: int, h_tree: ExpansionTree) -> LiftedTree:
-    parts = tuple(sorted(h_tree.vertices))
-    vertices: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-    for i in parts:
-        members = frozenset(q.partition.members(i))
-        vertices |= members
-        edges.update(bfs_tree_edges(g, members))
-    for i, j in sorted(h_tree.edges):
-        xi = q.partition.members(i)
-        xj = set(q.partition.members(j))
-        edges.add(
-            min(
-                (u, w) if u < w else (w, u)
-                for u in xi
-                for w in g.neighbors(u)
-                if w in xj
-            )
-        )
-    root = min(q.partition.members(parts[0]))
-    coloring = two_color_tree(frozenset(edges), root)
-    return LiftedTree(label, parts, frozenset(vertices), frozenset(edges), coloring)
-
-
-def lift_expansion(
-    g: Graph, q: QuotientGraph, cert_h: ExpansionCertificate
-) -> OddExpansionCertificate:
+def lift_expansion(g: Graph, q: QuotientGraph, cert_h: ExpansionCertificate) -> OddExpansionCertificate:
     """Blow up a quotient expansion into an odd expansion of g.
 
-    Per tree: breadth-first spanning tree of each touched part, joined by
-    the least G-edge per quotient tree edge, 2-colored from the root
-    (color 1).  Per pair: the witness triple (u1, u2, v) of the quotient
-    connector has u1, u2 on opposite sides of one part, hence opposite
-    colors, so exactly one of u1·v, u2·v is monochromatic — that edge is
-    the connector.
+    Per tree: the union of its parts, spanned by a breadth-first tree of
+    each part joined by the least G-edge per quotient tree edge, 2-colored
+    from the least vertex of its least part (color 1).  Per pair: the
+    witness triple (u1, u2, v) of the quotient connector has u1, u2 on
+    opposite sides of one part, hence opposite colors, so exactly one of
+    u1·v, u2·v is monochromatic — that edge is the connector.
     """
     report = verify_expansion(q.h, cert_h)
     if not report.passed:
         raise ContractViolation(
             "quotient certificate fails verification: " + "; ".join(report.failures)
         )
-    lifted = [lift_tree(g, q, s, tree) for s, tree in enumerate(cert_h.trees)]
+    members = q.partition.members
+    trees: list[ExpansionTree] = []
     color: dict[int, int] = {}
-    for tree in lifted:
-        color.update(tree.coloring)
-    part_home = {i: tree.label for tree in lifted for i in tree.parts}
+    for h_tree in cert_h.trees:
+        parts = sorted(h_tree.vertices)
+        vertices: set[int] = set()
+        edges: set[tuple[int, int]] = set()
+        for i in parts:
+            vertices |= members(i)
+            edges.update(bfs_tree_edges(g, members(i)))
+        for i, j in sorted(h_tree.edges):
+            xj = members(j)
+            edges.add(min((u, w) if u < w else (w, u)
+                          for u in members(i) for w in g.neighbors(u) if w in xj))
+        tree = ExpansionTree(frozenset(vertices), frozenset(edges))
+        color.update(two_color_tree(tree.edges, min(members(parts[0]))))
+        trees.append(tree)
     connectors: dict[tuple[int, int], tuple[int, int]] = {}
     for (a, b), (i, j) in cert_h.connectors.items():
         w = q.witnesses[(i, j) if i < j else (j, i)]
-        if i > j:
-            i, j = j, i
-        if {part_home[i], part_home[j]} != {a, b}:
-            raise ContractViolation(
-                f"connector parts ({i}, {j}) do not lie in trees ({a}, {b})"
-            )
         if color[w.u1] == color[w.v]:
             u = w.u1
         elif color[w.u2] == color[w.v]:
@@ -105,10 +75,7 @@ def lift_expansion(
                 f"({color[w.u1]}, {color[w.u2]}, {color[w.v]})"
             )
         connectors[(a, b)] = (u, w.v) if u < w.v else (w.v, u)
-    base = ExpansionCertificate(
-        tuple(ExpansionTree(tr.vertices, tr.edges) for tr in lifted), connectors
-    )
-    return OddExpansionCertificate(base, color)
+    return OddExpansionCertificate(ExpansionCertificate(tuple(trees), connectors), color)
 
 
 class ReductionReport(Record):
@@ -116,7 +83,6 @@ class ReductionReport(Record):
 
     g: Graph
     t: int
-    partition: BcpPartition
     quotient: QuotientGraph
     certificate: OddExpansionCertificate | None
     verification_passed: bool | None
@@ -127,10 +93,10 @@ class ReductionReport(Record):
         q = self.quotient
         out = [
             f"graph: {self.g.n} vertices, {self.g.m} edges",
-            f"partition: {len(self.partition)} parts",
+            f"partition: {len(q.partition)} parts",
         ]
-        if len(self.partition):
-            out.append(render_partition(self.partition).rstrip("\n"))
+        if len(q.partition):
+            out.append(render_partition(q.partition).rstrip("\n"))
         out.append(f"quotient: {q.h.n} vertices, {q.h.m} edges")
         if self.certificate is not None:
             out.append(f"K{self.t}-expansion in quotient: found")
@@ -159,15 +125,14 @@ def reduction_report(g: Graph, t: int, *, max_nodes: int = DEFAULT_MAX_NODES) ->
     exhibits the factor-two bound.  max_nodes bounds the search and the
     coloring each; budget overruns propagate as errors.
     """
-    p = compute_partition(g)
-    q = build_quotient(g, p)
+    q = build_quotient(g, compute_partition(g))
     cert_h = find_expansion(q.h, t, max_nodes=max_nodes)
     if cert_h is not None:
         cert = lift_expansion(g, q, cert_h)
         passed = verify_odd_expansion(g, cert).passed
-        return ReductionReport(g, t, p, q, cert, passed, None, None)
+        return ReductionReport(g, t, q, cert, passed, None, None)
     c_h = color_exact(q.h, max_nodes=max_nodes)
     composed = compose_coloring(q, c_h)
     if not verify_coloring(g, composed).passed:
         raise InvariantViolation("composed coloring is not proper")
-    return ReductionReport(g, t, p, q, None, None, c_h.palette, composed)
+    return ReductionReport(g, t, q, None, None, c_h.palette, composed)

@@ -14,9 +14,10 @@ import oddminors
 from oddminors import cli
 from oddminors.cli import BENCH_COLUMNS, COMMANDS, run
 from oddminors.errors import DEFAULT_MAX_NODES
-from oddminors.graph import MAX_VERTICES, render_edge_list
+from oddminors.graph import MAX_PAIRS, MAX_VERTICES, check_pairs, render_edge_list
 
 C5 = "5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
+C5_DIMACS = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
 K4 = "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 PATH4 = "4\n0 1\n1 2\n2 3\n"
 
@@ -51,14 +52,45 @@ class TestGen:
             ("complete-bipartite 6000000 6000000", 12 * 10**6),
             ("gnp 100000000000000000000 0.5", 10**20),
             (f"cycle {MAX_VERTICES + 1}", MAX_VERTICES + 1),
+            ("complete 4473", 4473 * 4472 // 2),
+            ("complete 20000", 20000 * 19999 // 2),
+            (f"complete {MAX_VERTICES}", MAX_VERTICES * (MAX_VERTICES - 1) // 2),
+            ("gnp 4473 0.001", 4473 * 4472 // 2),
+            ("complete-bipartite 3163 3162", 3163 * 3162),
         ],
     )
     def test_size_above_the_ceiling(self, spec, count):
-        # Each generator builds its edge list before Graph sees n; a count
-        # above the ceiling exits 2 at once instead of running for ever.
+        # Each generator builds its edge list before Graph sees n; a vertex
+        # count above its ceiling, or within it but with more vertex pairs to
+        # walk than theirs, exits 2 at once instead of running for ever.
         code, out, err = run(["gen", *spec.split()])
         assert (code, out) == (2, "")
-        assert err == f"error: bad generator spec {spec!r}: vertex count {count} exceeds {MAX_VERTICES}\n"
+        kind, *sizes = spec.split()
+        vertices = sum(map(int, sizes)) if kind == "complete-bipartite" else int(sizes[0])
+        detail = (
+            f"vertex count {count} exceeds {MAX_VERTICES}" if vertices > MAX_VERTICES
+            else f"vertex pair count {count} exceeds {MAX_PAIRS}"
+        )
+        assert err == f"error: bad generator spec {spec!r}: {detail}\n"
+
+    def test_pair_ceiling_is_inclusive(self):
+        check_pairs(MAX_PAIRS)
+        with pytest.raises(ValueError, match=f"vertex pair count {MAX_PAIRS + 1} exceeds {MAX_PAIRS}"):
+            check_pairs(MAX_PAIRS + 1)
+
+
+# Each command that reads a graph, with the flags it needs to run on C5.
+GRAPH_COMMAND_ARGVS = [
+    ["partition"],
+    ["quotient"],
+    ["color"],
+    ["find-minor", "-t", "3"],
+    ["find-odd-minor", "-t", "3"],
+    ["verify", "--partition", "{p}"],
+    ["lift", "-t", "2"],
+    ["report", "-t", "3"],
+]
+GRAPH_COMMANDS = [argv[0] for argv in GRAPH_COMMAND_ARGVS]
 
 
 class TestGraphInput:
@@ -69,10 +101,28 @@ class TestGraphInput:
         from_file = run(["partition", "-i", str(path)])
         assert from_stdin == from_file
 
-    def test_dimacs_autodetected(self):
-        code, out, _ = run(["partition"], stdin_text="p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    def test_dimacs_autodetected(self, tmp_path):
+        code, out, _ = run(["partition"], stdin_text=C5_DIMACS)
         assert code == 0
         assert "0: A=0,2 B=1,3" in out
+        # Every graph-reading command detects DIMACS on stdin by its first line.
+        part = tmp_path / "p.txt"
+        part.write_text("0: A=0,2 B=1,3\n1: A=4 B=\n")
+        for argv in GRAPH_COMMAND_ARGVS:
+            argv = [arg.format(p=part) for arg in argv]
+            expected = run(argv, stdin_text=C5)
+            assert expected[0] == 0 and run(argv, stdin_text=C5_DIMACS) == expected, argv
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS)
+    def test_input_format_flag_is_gone(self, command):
+        # The first line that is not blank decides the input format; there is
+        # no flag to force one.
+        code, out, err = run([command, "--format", "dimacs"], stdin_text=C5_DIMACS)
+        assert (code, out) == (2, "")
+        assert "unrecognized argument '--format'" in err
+
+    def test_graph_commands_are_those_with_input(self):
+        assert GRAPH_COMMANDS == [c for c, spec in COMMANDS.items() if any("-i" in f[0] for f in spec[1])]
 
     def test_trailing_comment_in_graph(self):
         code, out, _ = run(["partition"], stdin_text="3\n0 1 # note\n1 2\n")
@@ -514,7 +564,10 @@ class TestBench:
         csv.writer(rendered, lineterminator="\n").writerows(rows)
         assert out == rendered.getvalue()
 
-    @pytest.mark.parametrize("n,p", [("4", "1.5"), ("0", "0.5"), ("100000000000000000000", "0.5")])
+    @pytest.mark.parametrize(
+        "n,p",
+        [("4", "1.5"), ("0", "0.5"), ("100000000000000000000", "0.5"), ("4473", "0.5"), ("5,20000", "0.0001")],
+    )
     def test_out_of_range_grid_rejected(self, n, p):
         code, out, err = run(["bench", "--n", n, "--p", p, "--seeds", "1"])
         assert (code, out) == (2, "")
@@ -606,7 +659,7 @@ class TestUsage:
             ["report", "-t", "3", "--max-nodes", "100000"],
             ["report", "-t3", "--max-nodes=100000"],
             ["report", "--max-nodes=100000", "-t=3"],
-            ["report", "--format=edge-list", "-t", "3", "--max-nodes", "100000"],
+            ["report", "--max-nodes", "100000", "-t", "3"],
         ],
     )
     def test_flag_forms_agree(self, argv):

@@ -4,12 +4,16 @@ import pytest
 
 from corpus import small_corpus
 from oddminors import (
+    BcpPartition,
     BudgetExceeded,
     ContractViolation,
     ExpansionCertificate,
     ExpansionTree,
     Graph,
     InvariantViolation,
+    QuotientGraph,
+    StructureError,
+    TwoSides,
     WitnessTriple,
     build_quotient,
     complete,
@@ -21,7 +25,6 @@ from oddminors import (
     verify_coloring,
     verify_odd_expansion,
 )
-from oddminors.lifting import lift_tree
 
 
 def pipeline(g):
@@ -30,22 +33,33 @@ def pipeline(g):
 
 
 class TestLiftTree:
+    """Each lifted tree is the union of its parts: a breadth-first tree per
+    part, joined by the least G-edge per quotient tree edge, 2-colored from
+    the least vertex of its least part."""
+
     def test_c5_tree_spans_first_part(self):
         g = cycle(5)
-        q = pipeline(g)
-        lifted = lift_tree(g, q, 0, ExpansionTree(frozenset({0}), frozenset()))
-        assert lifted.vertices == frozenset({0, 1, 2, 3})
-        assert lifted.edges == frozenset({(0, 1), (1, 2), (2, 3)})
-        assert lifted.coloring == {0: 1, 1: 2, 2: 1, 3: 2}
+        q = pipeline(g)  # parts {0,1,2,3}, {4}
+        cert_h = ExpansionCertificate(
+            (ExpansionTree(frozenset({0}), frozenset()), ExpansionTree(frozenset({1}), frozenset())),
+            {(0, 1): (0, 1)},
+        )
+        cert = lift_expansion(g, q, cert_h)
+        first = cert.base.trees[0]
+        assert first.vertices == frozenset({0, 1, 2, 3})
+        assert first.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+        assert {v: cert.parity[v] for v in first.vertices} == {0: 1, 1: 2, 2: 1, 3: 2}
 
     def test_two_part_tree_uses_least_cross_edge(self):
         g = complete(5)
         q = pipeline(g)  # parts {0,1}, {2,3}, {4}
         h_tree = ExpansionTree(frozenset({0, 1}), frozenset({(0, 1)}))
-        lifted = lift_tree(g, q, 0, h_tree)
+        cert = lift_expansion(g, q, ExpansionCertificate((h_tree,), {}))
+        (lifted,) = cert.base.trees
         assert lifted.vertices == frozenset({0, 1, 2, 3})
+        assert lifted.vertices == q.partition.members(0) | q.partition.members(1)
         assert (0, 2) in lifted.edges
-        assert lifted.parts == (0, 1)
+        assert cert.parity[0] == 1
 
 
 class TestLiftExpansion:
@@ -83,6 +97,16 @@ class TestLiftExpansion:
         )
         with pytest.raises(ContractViolation, match="fails verification"):
             lift_expansion(g, q, bogus)
+
+    def test_disconnected_part_raises(self):
+        # A hand-built quotient whose part {0, 1, 3} is not connected in g:
+        # the part's breadth-first tree cannot span it.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        parts = (TwoSides(frozenset({0, 3}), frozenset({1})), TwoSides(frozenset({2}), frozenset()))
+        q = QuotientGraph(Graph(2, [(0, 1)]), {}, BcpPartition(parts))
+        cert_h = ExpansionCertificate((ExpansionTree(frozenset({0}), frozenset()),), {})
+        with pytest.raises(StructureError, match="induces a disconnected subgraph"):
+            lift_expansion(g, q, cert_h)
 
     def test_doctored_witness_trips_invariant(self):
         g = cycle(5)

@@ -9,7 +9,6 @@ from oddminors import (
     ExpansionCertificate,
     ExpansionTree,
     Graph,
-    LiftedTree,
     OddExpansionCertificate,
     QuotientGraph,
     ReductionReport,
@@ -38,14 +37,9 @@ SAMPLES = [
     (OddExpansionCertificate, {"base": CERT, "parity": {0: 1, 1: 2}}, False),
     (QuotientGraph, {"h": Graph(1), "witnesses": {}, "partition": PARTITION}, False),
     (
-        LiftedTree,
-        {"label": 0, "parts": (0,), "vertices": frozenset({0}), "edges": frozenset(), "coloring": {0: 1}},
-        False,
-    ),
-    (
         ReductionReport,
         {
-            "g": Graph(1), "t": 2, "partition": PARTITION, "quotient": QUOTIENT, "certificate": None,
+            "g": Graph(1), "t": 2, "quotient": QUOTIENT, "certificate": None,
             "verification_passed": None, "chi_h": 1, "composed": Coloring((0,)),
         },
         False,
