@@ -7,6 +7,7 @@ Brute-force searchers and clause-by-clause verifiers keep every step
 checkable at desk scale.
 """
 
+from ._record import VerificationReport
 from .coloring import (
     Coloring,
     color_exact,
@@ -59,12 +60,10 @@ from .quotient import (
     QuotientGraph,
     WitnessTriple,
     build_quotient,
-    contraction_check,
     parse_quotient,
     render_quotient,
     verify_quotient,
 )
-from .verification import VerificationReport
 
 __version__ = "0.1.0"
 
@@ -92,7 +91,6 @@ __all__ = [
     "complete_bipartite",
     "compose_coloring",
     "compute_partition",
-    "contraction_check",
     "cycle",
     "find_expansion",
     "find_odd_expansion",

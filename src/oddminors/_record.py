@@ -1,20 +1,21 @@
-"""Frozen value records: the one base class behind every result type."""
+"""Frozen value records: the one base class behind every result type, and
+the report every checker returns."""
 
 from __future__ import annotations
 
 
 class _RecordType(type):
     """Builds a record class whose ``__slots__`` are its fields (its own
-    annotations, in order) and any slots it lists itself.  A class attribute
-    named like a field moves to ``_defaults``; ``_setters`` holds each field
-    slot's ``__set__``, which fills the slot past ``__setattr__``.
+    annotations, in order).  A class attribute named like a field moves to
+    ``_defaults``; ``_setters`` holds each field slot's ``__set__``, which
+    fills the slot past ``__setattr__``.
     """
 
     def __new__(mcs, name: str, bases: tuple, ns: dict) -> type:
         fields = tuple(ns.get("__annotations__", ()))
         ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
         ns["_fields"] = fields
-        ns["__slots__"] = fields + tuple(ns.get("__slots__", ()))
+        ns["__slots__"] = fields
         cls = super().__new__(mcs, name, bases, ns)
         cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
         return cls
@@ -28,8 +29,7 @@ class Record(metaclass=_RecordType):
     class with equal fields, hash over the fields, print as
     ``Name(field=value, ...)`` and raise ``AttributeError`` on assignment
     and deletion.  The fields live in ``__slots__``: a record has no
-    ``__dict__`` unless its class lists ``"__dict__"`` in ``__slots__``,
-    as it must for ``functools.cached_property``.
+    ``__dict__``.
     """
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -74,3 +74,22 @@ class Record(metaclass=_RecordType):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class VerificationReport(Record):
+    """Outcome of an independent re-check.
+
+    ``failures`` holds one human-readable line per violated property; an
+    empty tuple means every checked property held.
+    """
+
+    failures: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def render(self) -> str:
+        if self.passed:
+            return "PASS\n"
+        return "FAIL\n" + "\n".join(f"  - {f}" for f in self.failures) + "\n"

@@ -49,7 +49,6 @@ from .quotient import QuotientGraph, build_quotient, parse_quotient, render_quot
 _GRAPH = ((("-i", "--input"), str, None, "read the graph from this file, not stdin"),)
 _T = (("-t",), int, None, "clique size t")
 _CERT = (("--cert",), str, None, "expansion certificate file (verify also takes odd ones)")
-_REUSE = (("--partition",), str, None, "reuse a serialized partition instead of recomputing")
 _MAX_NODES = (("--max-nodes",), int, DEFAULT_MAX_NODES, "search-node cap for exact coloring and expansion search")
 # The least value of each bounded int flag; a lower one is a usage error.
 _LEAST = {"-t": 1, "--max-nodes": 0}
@@ -62,10 +61,10 @@ COMMANDS = {
         (("--format",), ("edge-list", "dimacs"), "edge-list", "output graph format"),
     ), ("spec",), ()),
     "partition": ("bipartite-connected partition plus verification", _GRAPH, (), ()),
-    "quotient": ("quotient graph with witness triples", _GRAPH + (_REUSE,), (), ()),
+    "quotient": ("quotient graph with witness triples", _GRAPH, (), ()),
     "color": ("color the graph", _GRAPH + (
         (("--mode",), ("exact", "heuristic", "composed"), "composed", "coloring method"),
-        _REUSE, _MAX_NODES,
+        _MAX_NODES,
     ), (), ()),
     "find-minor": ("search for a K_t-expansion", _GRAPH + (_T, _MAX_NODES), ("-t",), ()),
     "find-odd-minor": ("search for an odd K_t-expansion", _GRAPH + (_T, _MAX_NODES), ("-t",), ()),
@@ -201,8 +200,7 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
         return 0 if report.passed else 1
 
     if args.command == "quotient":
-        p = parse_partition(_read(args.partition)) if args.partition else compute_partition(g)
-        sys.stdout.write(render_quotient(build_quotient(g, p)))
+        sys.stdout.write(render_quotient(build_quotient(g, compute_partition(g))))
         return 0
 
     if args.command == "color":
@@ -211,8 +209,7 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
         elif args.mode == "heuristic":
             c = _coloring.color_heuristic(g)
         else:
-            p = parse_partition(_read(args.partition)) if args.partition else compute_partition(g)
-            q = build_quotient(g, p)
+            q = build_quotient(g, compute_partition(g))
             c_h = _coloring.color_exact(q.h, max_nodes=args.max_nodes)
             c = _coloring.compose_coloring(q, c_h)
         sys.stdout.write(_coloring.render_coloring(c))

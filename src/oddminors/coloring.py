@@ -8,11 +8,10 @@ quotient's palette.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, VerificationReport
 from .errors import DEFAULT_MAX_NODES, BudgetExceeded, ContractViolation, ParseError
 from .graph import Graph, _Reader
 from .quotient import QuotientGraph
-from .verification import VerificationReport
 
 
 class Coloring(Record):

@@ -10,7 +10,7 @@ check a certificate clause by clause and never trust the finder.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, VerificationReport
 from .errors import (
     DEFAULT_MAX_NODES,
     BudgetExceeded,
@@ -19,7 +19,6 @@ from .errors import (
     StructureError,
 )
 from .graph import Graph, _Reader
-from .verification import VerificationReport
 
 # The search refuses a graph whose (t+1)^n branch-set maps exceed this,
 # before it visits a node; it covers n=10 at t=5 (6^10 ~ 60.5M).

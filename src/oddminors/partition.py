@@ -10,18 +10,14 @@ is what later turns a clique expansion of the quotient into an odd one.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from ._record import Record
+from ._record import Record, VerificationReport
 from .errors import ParseError
 from .graph import Graph, TwoSides, _Reader
-from .verification import VerificationReport
 
 
 class BcpPartition(Record):
     """Ordered parts, each stored with its canonical bipartition."""
 
-    __slots__ = ("__dict__",)  # room for the cached ``part_of``
     parts: tuple[TwoSides, ...]
 
     def __len__(self) -> int:
@@ -29,15 +25,6 @@ class BcpPartition(Record):
 
     def members(self, i: int) -> frozenset[int]:
         return self.parts[i].members
-
-    @cached_property
-    def part_of(self) -> dict[int, int]:
-        """Map vertex id to the index of the part holding it."""
-        out: dict[int, int] = {}
-        for i, part in enumerate(self.parts):
-            for v in part.members:
-                out[v] = i
-        return out
 
 
 def compute_partition(g: Graph) -> BcpPartition:

@@ -7,11 +7,10 @@ the lifting step later grabs to pick a monochromatic connecting edge.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, VerificationReport
 from .errors import ParseError, StructureError
-from .graph import Graph, _edge_list_items, _Reader
+from .graph import Graph, _edge_list_items, _Reader, render_edge_list
 from .partition import BcpPartition, _check_partition
-from .verification import VerificationReport
 
 
 class WitnessTriple(Record):
@@ -42,47 +41,28 @@ def build_quotient(g: Graph, p: BcpPartition) -> QuotientGraph:
     return QuotientGraph(Graph(len(p), witnesses.keys()), witnesses, p)
 
 
-def contraction_check(g: Graph, q: QuotientGraph) -> VerificationReport:
-    """PASS iff q.h equals the contraction of g along q.partition.
+def verify_quotient(g: Graph, q: QuotientGraph) -> VerificationReport:
+    """PASS iff q.partition is valid for g, q.h is the contraction of g
+    along it, and every edge of q.h carries a valid witness triple.
 
-    Identifies each part to one vertex, drops loops and parallel edges,
-    and compares edge sets.  The contraction is read from g's adjacency,
-    which also names, in sorted order, each edge with an endpoint outside
-    the partition.
+    An invalid partition fails alone, with the failures ``verify_partition``
+    names.  The contraction identifies each part to one vertex and drops
+    loops and parallel edges: its edges are the part pairs that the
+    partition check finds joined in g.  A witness (u1, u2, v) for edge
+    (i, j) needs u1 on side A and u2 on side B of part i, and v a common
+    neighbor of both inside part j.
     """
-    failures: list[str] = []
     p = q.partition
+    invalid, joined = _check_partition(g, p)
+    if invalid:
+        return VerificationReport(invalid)
+    failures: list[str] = []
+    h_edges = q.h.sorted_edges()
     if q.h.n != len(p):
         failures.append(f"h has {q.h.n} vertices but the partition has {len(p)} parts")
-        return VerificationReport(tuple(failures))
-    part_of = p.part_of
-    expected = set()
-    for u in range(g.n):
-        i = part_of.get(u)
-        for v in g.neighbors(u):
-            if u < v:
-                j = part_of.get(v)
-                if i is None or j is None:
-                    failures.append(f"edge ({u}, {v}) has an endpoint outside the partition")
-                elif i != j:
-                    expected.add((min(i, j), max(i, j)))
-    h_edges = q.h.sorted_edges()
-    for e in sorted(expected.difference(h_edges)):
-        failures.append(f"contraction edge {e} missing from h")
-    for e in h_edges:
-        if e not in expected:
-            failures.append(f"h edge {e} not present in the contraction")
-    return VerificationReport(tuple(failures))
-
-
-def verify_quotient(g: Graph, q: QuotientGraph) -> VerificationReport:
-    """contraction_check plus structural validity of every witness triple.
-
-    A witness (u1, u2, v) for edge (i, j) needs u1 on side A and u2 on
-    side B of part i, and v a common neighbor of both inside part j.
-    """
-    failures = list(contraction_check(g, q).failures)
-    p = q.partition
+    else:
+        failures += [f"contraction edge {e} missing from h" for e in joined if not q.h.has_edge(*e)]
+        failures += [f"h edge {e} not present in the contraction" for e in h_edges if e not in joined]
     for (i, j), w in sorted(q.witnesses.items()):
         if not (0 <= i < len(p) and 0 <= j < len(p)) or i >= j:
             failures.append(f"witness for ({i}, {j}): not an ordered part pair")
@@ -99,7 +79,7 @@ def verify_quotient(g: Graph, q: QuotientGraph) -> VerificationReport:
                 f"witness for ({i}, {j}): {w.v} is not a common neighbor "
                 f"of {w.u1} and {w.u2}"
             )
-    for i, j in q.h.sorted_edges():
+    for i, j in h_edges:
         if (i, j) not in q.witnesses:
             failures.append(f"quotient edge ({i}, {j}) has no witness")
     return VerificationReport(tuple(failures))
@@ -107,11 +87,8 @@ def verify_quotient(g: Graph, q: QuotientGraph) -> VerificationReport:
 
 def render_quotient(q: QuotientGraph) -> str:
     """h in edge-list format, then one "w i j : u1 u2 v" line per edge."""
-    lines = [str(q.h.n)]
-    lines.extend(f"{i} {j}" for i, j in q.h.sorted_edges())
-    for (i, j), w in sorted(q.witnesses.items()):
-        lines.append(f"w {i} {j} : {w.u1} {w.u2} {w.v}")
-    return "\n".join(lines) + "\n"
+    lines = [f"w {i} {j} : {w.u1} {w.u2} {w.v}\n" for (i, j), w in sorted(q.witnesses.items())]
+    return render_edge_list(q.h) + "".join(lines)
 
 
 def parse_quotient(text: str) -> tuple[Graph, dict[tuple[int, int], WitnessTriple]]:

@@ -307,7 +307,7 @@ def frozen_witnesses(g: Graph, p: BcpPartition) -> dict[tuple[int, int], tuple[i
 
 def _frozen_adjacent_part_pairs(g: Graph, p: BcpPartition) -> list[tuple[int, int]]:
     pairs = set()
-    part_of = p.part_of
+    part_of = {v: i for i, part in enumerate(p.parts) for v in part.members}
     for u, v in g.edges:
         i, j = part_of.get(u), part_of.get(v)
         if i is None or j is None or i == j:

@@ -352,6 +352,60 @@ class TestVerifySubcommand:
         assert code == 2
 
 
+class TestArtifactsPassOwnVerify:
+    """Every artifact the CLI writes passes the CLI's own ``verify``.
+
+    A NOT FOUND or a budget refusal writes no artifact and is skipped.  The
+    colorings get a small node budget, which refuses only a few of the
+    corpus graphs and keeps the exact coloring of the rest short.
+    """
+
+    # (command, verify flag): the flag reads the command's stdout
+    WRITERS = [
+        (["partition"], "--partition"),
+        (["quotient"], "--quotient"),
+        (["color", "--mode", "exact", "--max-nodes", "20000"], "--coloring"),
+        (["color", "--mode", "heuristic"], "--coloring"),
+        (["color", "--mode", "composed", "--max-nodes", "20000"], "--coloring"),
+        (["find-minor", "-t", "4"], "--cert"),
+        (["find-odd-minor", "-t", "4"], "--cert"),
+        (["lift", "-t", "2"], "--cert"),
+        (["lift", "-t", "3"], "--cert"),
+    ]
+
+    @pytest.mark.parametrize("argv,flag", WRITERS, ids=[" ".join(argv[:3]) for argv, _ in WRITERS])
+    def test_corpus(self, tmp_path, argv, flag):
+        art = tmp_path / "artifact.txt"
+        written = 0
+        for name, g in corpus():
+            text = render_edge_list(g)
+            code, out, _ = run(argv, stdin_text=text)
+            if code != 0:
+                continue
+            art.write_text(out.removesuffix("PASS\n") if flag == "--partition" else out)
+            assert run(["verify", flag, str(art)], stdin_text=text) == (0, "PASS\n", ""), name
+            written += 1
+        assert written >= 30
+
+    # The README repro of a quotient contracted along a user partition.
+    REPRO = "4\n0 1\n0 2\n1 2\n1 3\n"
+
+    @pytest.mark.parametrize("command", ["quotient", "color"])
+    def test_partition_flag_is_gone(self, tmp_path, command):
+        part = tmp_path / "p.txt"
+        part.write_text("0: A=0 B=2\n1: A=1 B=3\n")
+        code, out, err = run([command, "--partition", str(part)], stdin_text=self.REPRO)
+        assert (code, out) == (2, "")
+        assert "unrecognized argument '--partition'" in err
+
+    def test_repro_quotient_passes_verify(self, tmp_path):
+        art = tmp_path / "q.txt"
+        code, out, _ = run(["quotient"], stdin_text=self.REPRO)
+        assert code == 0
+        art.write_text(out)
+        assert run(["verify", "--quotient", str(art)], stdin_text=self.REPRO) == (0, "PASS\n", "")
+
+
 class TestMalformedArtifacts:
     """Malformed artifact lines exit 2 with an error naming the line."""
 

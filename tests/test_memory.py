@@ -52,18 +52,12 @@ def test_records_have_no_dict(g3000):
     p = compute_partition(g3000)
     q = build_quotient(g3000, p)
     cert = find_expansion(complete(4), 4)
-    records = [*p.parts, *q.witnesses.values(), *cert.trees]
-    assert {type(r) for r in records} == {TwoSides, WitnessTriple, ExpansionTree}
+    records = [p, *p.parts, *q.witnesses.values(), *cert.trees]
+    assert {type(r) for r in records} == {BcpPartition, TwoSides, WitnessTriple, ExpansionTree}
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
         with pytest.raises(TypeError):
             vars(record)
-
-
-def test_partition_keeps_a_dict_for_its_cached_map():
-    p = BcpPartition((TwoSides(frozenset({0}), frozenset({1})),))
-    assert p.part_of == {0: 0, 1: 0}
-    assert vars(p) == {"part_of": {0: 0, 1: 0}}
 
 
 def test_every_empty_side_is_one_object(g3000):

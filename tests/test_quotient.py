@@ -1,24 +1,28 @@
 """Quotient construction, contraction checking, witness storage, format."""
 
 import pytest
+from hypothesis import given, settings
 
 from corpus import small_corpus
 from oddminors import (
     BcpPartition,
     Graph,
     ParseError,
+    QuotientGraph,
     StructureError,
     TwoSides,
     WitnessTriple,
     build_quotient,
     complete,
     compute_partition,
-    contraction_check,
     cycle,
+    parse_partition,
     parse_quotient,
     render_quotient,
+    verify_partition,
     verify_quotient,
 )
+from test_partition import graphs, sides
 
 
 def quotient_of(g):
@@ -51,7 +55,6 @@ class TestBuildQuotient:
     @pytest.mark.parametrize("name,g", small_corpus(12))
     def test_corpus_contraction_check(self, name, g):
         q = quotient_of(g)
-        assert contraction_check(g, q).passed, name
         assert verify_quotient(g, q).passed, name
 
 
@@ -59,27 +62,46 @@ class TestContractionCheck:
     def test_detects_missing_edge(self):
         q = quotient_of(complete(5))
         doctored = type(q)(Graph(3, [(0, 1)]), q.witnesses, q.partition)
-        report = contraction_check(complete(5), doctored)
+        report = verify_quotient(complete(5), doctored)
         assert any("missing" in f for f in report.failures)
 
     def test_detects_extra_edge(self):
         q = quotient_of(cycle(6))
         doctored = type(q)(Graph(1), q.witnesses, q.partition)
-        assert contraction_check(cycle(6), doctored).passed
+        assert verify_quotient(cycle(6), doctored).passed
         bigger = type(q)(Graph(2, [(0, 1)]), q.witnesses, q.partition)
-        report = contraction_check(cycle(6), bigger)
+        report = verify_quotient(cycle(6), bigger)
         assert not report.passed
 
     def test_edges_outside_the_partition_named_in_sorted_order(self):
-        # The edges with an endpoint the partition lacks are named in sorted
-        # order, not in the order they arrived in.
+        # A partition that misses vertices fails as verify_partition names
+        # it, before any edge of the contraction is looked at.
         c5 = [(2, 3), (3, 4), (0, 1), (4, 0), (1, 2)]
         g = Graph(7, c5 + [(6, 1), (5, 6), (0, 5), (2, 6)])
         q = quotient_of(Graph(5, c5))
-        outside = [(0, 5), (1, 6), (2, 6), (5, 6)]
-        assert contraction_check(g, q).failures == tuple(
-            f"edge ({u}, {v}) has an endpoint outside the partition" for u, v in outside
+        assert verify_quotient(g, q).failures == ("uncovered vertices: [5, 6]",)
+
+    def test_contraction_edges_named_in_sorted_order(self):
+        q = quotient_of(complete(5))
+        doctored = type(q)(Graph(3), {}, q.partition)
+        assert verify_quotient(complete(5), doctored).failures == tuple(
+            f"contraction edge {e} missing from h" for e in [(0, 1), (0, 2), (1, 2)]
         )
+
+    @pytest.mark.parametrize(
+        "g,part,failure",
+        [
+            (complete(3), sides([0, 1], [2]), "part 0: edge (0, 1) joins two vertices on one side"),
+            (Graph(4, [(0, 1), (2, 3)]), sides([0, 2], [1, 3]), "part 0: induces 2 components, expected 1"),
+        ],
+        ids=["same-side-edge", "disconnected-part"],
+    )
+    def test_invalid_partition_fails_as_verify_partition_names_it(self, g, part, failure):
+        # One part and no quotient edge: only the partition is wrong.
+        p = BcpPartition((part,))
+        report = verify_quotient(g, QuotientGraph(Graph(1), {}, p))
+        assert failure in report.failures
+        assert report == verify_partition(g, p)
 
 
 class TestVerifyQuotient:
@@ -115,6 +137,24 @@ class TestSerialization:
         h, witnesses = parse_quotient(render_quotient(q))
         assert h == q.h
         assert witnesses == q.witnesses
+
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_random(self, g):
+        q = quotient_of(g)
+        h, witnesses = parse_quotient(render_quotient(q))
+        assert (h, witnesses) == (q.h, q.witnesses)
+        assert verify_quotient(g, QuotientGraph(h, witnesses, compute_partition(g))).passed
+
+    def test_user_partition_quotient_verifies_against_that_partition(self):
+        # The README repro graph: contracted along a partition other than
+        # the greedy one, the quotient is checked against the partition it
+        # was built from.
+        g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
+        p = parse_partition("0: A=0 B=2\n1: A=1 B=3\n")
+        assert p != compute_partition(g)
+        h, witnesses = parse_quotient(render_quotient(build_quotient(g, p)))
+        assert verify_quotient(g, QuotientGraph(h, witnesses, p)).passed
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

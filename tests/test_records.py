@@ -15,8 +15,6 @@ from oddminors import (
     TwoSides,
     VerificationReport,
     WitnessTriple,
-    compute_partition,
-    cycle,
 )
 
 SIDES = TwoSides(side_a=frozenset({0, 2}), side_b=frozenset({1}))
@@ -113,13 +111,3 @@ def test_verification_report_default():
     assert VerificationReport() == VerificationReport(failures=()) == VerificationReport(())
     assert VerificationReport().passed
     assert VerificationReport().render() == "PASS\n"
-
-
-def test_part_of_is_computed_once():
-    p = compute_partition(cycle(5))
-    first = p.part_of
-    assert first == {0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
-    assert p.part_of is first
-    # The cached map is not a field: equality, hash and repr ignore it.
-    fresh = BcpPartition(p.parts)
-    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
