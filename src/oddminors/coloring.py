@@ -104,9 +104,10 @@ def color_exact(g: Graph, *, max_nodes: int = DEFAULT_MAX_NODES) -> Coloring:
     A greedy clique seeds the lower bound (its vertices are pre-colored,
     which is sound up to color renaming); the saturation greedy seeds the
     upper bound.  Branching order is fixed, so the returned coloring is
-    deterministic.  The budget counts work, not size: the search visits at
-    most max_nodes nodes, and one more raises BudgetExceeded; it never
-    degrades to a heuristic answer.
+    deterministic; the search ends at the first coloring with as many colors
+    as the clique, which no coloring can beat.  The budget counts work, not
+    size: the search visits at most max_nodes nodes, and one more raises
+    BudgetExceeded; it never degrades to a heuristic answer.
     """
     if g.n == 0:
         return Coloring(())
@@ -124,7 +125,8 @@ def color_exact(g: Graph, *, max_nodes: int = DEFAULT_MAX_NODES) -> Coloring:
     start_k = len(clique)
     nodes = 0
 
-    def search(used: int) -> None:
+    def search(used: int) -> bool:
+        """True once ``best`` uses as many colors as the clique: a proven optimum."""
         nonlocal best_k, best, nodes
         nodes += 1
         if nodes > max_nodes:
@@ -134,18 +136,21 @@ def color_exact(g: Graph, *, max_nodes: int = DEFAULT_MAX_NODES) -> Coloring:
             if used < best_k:
                 best_k = used
                 best = colors[:]
-            return
+            return best_k == start_k
         for c in range(used):
             if c in neighbor_colors[v]:
                 continue
             touched = down(v, c)
-            search(used)
+            if search(used):
+                return True
             up(v, c, touched)
         # One fresh color; higher ones are symmetric to it.
         if used + 1 < best_k:
             touched = down(v, used)
-            search(used + 1)
+            if search(used + 1):
+                return True
             up(v, used, touched)
+        return False
 
     search(start_k)
     return Coloring(tuple(best))

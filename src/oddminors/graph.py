@@ -33,13 +33,10 @@ class Graph:
     other order sorts and de-duplicates each run.
 
     The adjacency is the graph's one edge order: ``sorted_edges`` lists it,
-    and ``m``, ``has_edge``, ``==`` and ``hash`` read it.  ``edges``, the
-    frozenset of normalized edges, is built from it once, on first use, in
-    O(m); its iteration order is that of a frozenset copied from a set
-    filled in sorted order.
+    and ``m``, ``has_edge``, ``==`` and ``hash`` read it.
     """
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -83,16 +80,6 @@ class Graph:
             adj = [tuple(sorted(set(out))) for out in adj]
         self.n = n
         self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
-        self._edges: frozenset[Edge] | None = None
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        """The normalized edges, built from the adjacency on first access."""
-        if self._edges is None:
-            own = {v: v for out in self._adj for v in out}  # each id's int object in the adjacency
-            pairs = ((own[u], v) for u, out in enumerate(self._adj) for v in out if u < v)
-            self._edges = frozenset(set(pairs))
-        return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of ``v`` in ascending id order."""

@@ -94,19 +94,19 @@ def verify_partition(g: Graph, p: BcpPartition) -> VerificationReport:
     (u1, u2 on opposite sides of the lower part, common neighbor v in the
     higher part).
 
-    The check runs on flat per-vertex arrays: the first part holding each
-    vertex and its side there, plus a sparse map for vertices that several
-    parts hold.  One pass over the adjacency finds and names, in sorted
-    order, every edge that joins two vertices on one side of a part; one
-    traversal with a stamp array counts the components of every part; and
-    one pass over the vertices finds the witness triples.  Beyond the
-    failures and the triples it allocates O(n) words, and no set per part,
-    in O((n + m) log n) time.
+    One pass over the parts fills flat per-vertex arrays: the first part
+    holding each vertex and its side there.  Then each part is checked in
+    turn, clause by clause in the order they are reported, against its own
+    two sides: a traversal with a stamp array shared by all parts counts its
+    components, and its same-side edges are named in sorted order.  One
+    pass over the vertices finds the witness triples.  Beyond the failures
+    and the triples it allocates O(n) words, and no set of members per
+    part, in O((n + m) log n) time.
     """
     return VerificationReport(_check_partition(g, p)[0])
 
 
-_A, _B = 1, 2  # side bits: a vertex on both sides of a part has both
+_A, _B = 1, 2  # side bits
 
 
 def _check_partition(
@@ -120,8 +120,7 @@ def _check_partition(
     n = g.n
     parts = p.parts
     part_of = [-1] * n  # in-range vertex -> the first part holding it
-    side = bytearray(n)  # its side bits in that part
-    more: dict[int, list[int]] = {}  # repeated vertex -> the later parts holding it
+    side = bytearray(n)  # its side bit there, read only once the partition is valid
     flagged: set[int] = set()  # parts holding an out-of-range or repeated vertex
     for i, part in enumerate(parts):
         for bit, members in ((_A, part.side_a), (_B, part.side_b)):
@@ -131,49 +130,8 @@ def _check_partition(
                 elif part_of[v] < 0:
                     part_of[v] = i
                     side[v] = bit
-                elif part_of[v] == i:
-                    side[v] |= bit
-                else:
-                    later = more.setdefault(v, [])
-                    if not later or later[-1] != i:
-                        later.append(i)
-                        flagged.add(i)
-
-    def holds(i: int, v: int) -> bool:
-        return part_of[v] == i or i in more.get(v, ())
-
-    def sides(i: int, v: int) -> int:
-        if part_of[v] == i:
-            return side[v]
-        return (v in parts[i].side_a) * _A | (v in parts[i].side_b) * _B
-
-    # Same-side edges, named in sorted order.  With no vertex in two parts or
-    # on both sides of one, an edge joins one side of a part exactly when its
-    # two ends share the key 2 * part + side bit, so one pass over the
-    # adjacency that compares keys finds every candidate.  (Two uncovered
-    # vertices share the key -2, and are dropped below.)  Otherwise every
-    # edge is a candidate.
-    if more or (_A | _B) in side:
-        candidates = g.sorted_edges()
-    else:
-        key = [2 * i + s for i, s in zip(part_of, side)]
-        candidates = [
-            (u, v) for u, (k, out) in enumerate(zip(key, g._adj)) for v in out if key[v] == k and u < v
-        ]
-        del key  # freed before the component count allocates
-    one_side: dict[int, list[str]] = {}
-    for u, v in candidates:
-        i = part_of[u]
-        if i < 0 or part_of[v] < 0:
-            continue
-        if u in more or v in more:
-            shared = [k for k in (i, *more.get(u, ())) if holds(k, v) and sides(k, u) & sides(k, v)]
-        elif i == part_of[v] and side[u] & side[v]:
-            shared = (i,)
-        else:
-            continue
-        for k in shared:
-            one_side.setdefault(k, []).append(f"part {k}: edge ({u}, {v}) joins two vertices on one side")
+                elif part_of[v] != i:
+                    flagged.add(i)
 
     failures: list[str] = []
     stamp = [-1] * n  # part whose component count last reached the vertex
@@ -200,12 +158,16 @@ def _check_partition(
                 stack = [root]
                 while stack:
                     for w in g.neighbors(stack.pop()):
-                        if stamp[w] != i and holds(i, w):
+                        if stamp[w] != i and (w in side_a or w in side_b):
                             stamp[w] = i
                             stack.append(w)
         if comps != 1:
             failures.append(f"part {i}: induces {comps} components, expected 1")
-        failures.extend(one_side.get(i, ()))
+        same = {
+            (u, v) for s in (side_a, side_b) for u in s if 0 <= u < n for v in g.neighbors(u) if u < v and v in s
+        }
+        if same:
+            failures.extend(f"part {i}: edge ({u}, {v}) joins two vertices on one side" for u, v in sorted(same))
         if not side_a or (side_b and min(side_b) < min(side_a)):
             failures.append(f"part {i}: lowest vertex not on side A")
 

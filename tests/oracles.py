@@ -30,7 +30,7 @@ Edge = tuple[int, int]
 
 def _adj(g: Graph) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         adj[u].add(v)
         adj[v].add(u)
     return adj
@@ -40,19 +40,21 @@ def brute_chromatic_number(g: Graph) -> int:
     """Least k admitting a proper coloring, by trying all k^n assignments."""
     if g.n == 0:
         return 0
-    if not g.edges:
+    edges = g.sorted_edges()
+    if not edges:
         return 1
     for k in range(2, g.n + 1):
         for colors in product(range(k), repeat=g.n):
-            if all(colors[u] != colors[v] for u, v in g.edges):
+            if all(colors[u] != colors[v] for u, v in edges):
                 return k
     raise AssertionError("n colors always suffice")
 
 
 def brute_is_bipartite(g: Graph) -> bool:
     """Try all 2^n two-colorings."""
+    edges = g.sorted_edges()
     for colors in product((0, 1), repeat=g.n):
-        if all(colors[u] != colors[v] for u, v in g.edges):
+        if all(colors[u] != colors[v] for u, v in edges):
             return True
     return False
 
@@ -78,7 +80,7 @@ def _connected(edges: list[tuple[int, int]], vertices: frozenset[int]) -> bool:
 
 
 def _induced_edges(g: Graph, vertices: frozenset[int]) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in sorted(g.edges) if u in vertices and v in vertices]
+    return [(u, v) for u, v in g.sorted_edges() if u in vertices and v in vertices]
 
 
 def is_connected_bipartite(g: Graph, vertices: frozenset[int]) -> bool:
@@ -181,7 +183,7 @@ def _odd_signable(g: Graph, classes: list[frozenset[int]]) -> bool:
     for (ia, a), (ib, b) in combinations(enumerate(classes), 2):
         edges = [
             (u, v)
-            for u, v in g.edges
+            for u, v in g.sorted_edges()
             if (u in a and v in b) or (u in b and v in a)
         ]
         cross.append((ia, ib, edges))
@@ -308,7 +310,7 @@ def frozen_witnesses(g: Graph, p: BcpPartition) -> dict[tuple[int, int], tuple[i
 def _frozen_adjacent_part_pairs(g: Graph, p: BcpPartition) -> list[tuple[int, int]]:
     pairs = set()
     part_of = {v: i for i, part in enumerate(p.parts) for v in part.members}
-    for u, v in g.edges:
+    for u, v in g.sorted_edges():
         i, j = part_of.get(u), part_of.get(v)
         if i is None or j is None or i == j:
             continue
@@ -551,7 +553,7 @@ def _frozen_two_color_tree(edges: frozenset[tuple[int, int]], root: int) -> dict
 
 
 class FrozenGraph(Graph):
-    __slots__ = ("edges",)  # shadows the lazy ``Graph.edges`` property
+    __slots__ = ("edges",)  # the old constructor's edge set, which the frozen verifier reads
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -577,12 +579,13 @@ class FrozenGraph(Graph):
 class SortedView(Graph):
     """A graph's adjacency, with ``edges`` a list in ``sorted_edges()`` order.
 
-    The frozen verifier above names same-side edges in the order that
-    ``g.edges`` iterates.  Run on this view of ``g``, it names them in
-    sorted order, the order ``verify_partition`` uses.
+    The frozen verifier above reads a graph's ``edges``, which ``Graph`` does
+    not have, and names same-side edges in the order they iterate.  Run on
+    this view of ``g``, it names them in sorted order, the order
+    ``verify_partition`` uses.
     """
 
-    __slots__ = ("edges",)  # shadows the lazy ``Graph.edges`` property
+    __slots__ = ("edges",)  # the edge view the frozen verifier reads
 
     def __init__(self, g: Graph) -> None:
         self.n, self._adj, self.edges = g.n, g._adj, g.sorted_edges()

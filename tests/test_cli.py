@@ -549,6 +549,17 @@ class TestBudgets:
             art.write_text(out)
             assert run(["verify", "--coloring", str(art)], stdin_text=graph) == (0, "PASS\n", ""), spec
 
+    @pytest.mark.parametrize(
+        "spec", [["gnp", "25", "0.1", "--seed", "9184"], ["gnp", "36", "0.3", "--seed", "9235"]], ids=" ".join
+    )
+    def test_exact_coloring_stops_at_the_clique_bound(self, spec):
+        # A coloring with as many colors as the greedy clique is optimal, so
+        # the search ends there: a small budget gives the default's answer.
+        graph = run(["gen", *spec])[1]
+        small = run(["color", "--mode", "exact", "--max-nodes", "1000"], stdin_text=graph)
+        assert small[0] == 0
+        assert small == run(["color", "--mode", "exact"], stdin_text=graph)
+
 
 class TestBench:
     def test_grid_shape_and_ratio(self):

