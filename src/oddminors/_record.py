@@ -6,14 +6,12 @@ from __future__ import annotations
 
 class _RecordType(type):
     """Builds a record class whose ``__slots__`` are its fields (its own
-    annotations, in order).  A class attribute named like a field moves to
-    ``_defaults``; ``_setters`` holds each field slot's ``__set__``, which
-    fills the slot past ``__setattr__``.
+    annotations, in order).  ``_setters`` holds each field slot's
+    ``__set__``, which fills the slot past ``__setattr__``.
     """
 
     def __new__(mcs, name: str, bases: tuple, ns: dict) -> type:
         fields = tuple(ns.get("__annotations__", ()))
-        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
         ns["_fields"] = fields
         ns["__slots__"] = fields
         cls = super().__new__(mcs, name, bases, ns)
@@ -24,30 +22,16 @@ class _RecordType(type):
 class Record(metaclass=_RecordType):
     """Immutable record whose fields are the subclass's annotations, in order.
 
-    A class attribute named like a field is that field's default.  Records
-    take positional or keyword arguments, equal only records of the same
-    class with equal fields, hash over the fields, print as
+    Records take exactly their fields, by position, equal only records of
+    the same class with equal fields, hash over the fields, print as
     ``Name(field=value, ...)`` and raise ``AttributeError`` on assignment
     and deletion.  The fields live in ``__slots__``: a record has no
     ``__dict__``.
     """
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):  # bind keywords and defaults
-            name = type(self).__name__
-            if len(args) > len(fields):
-                raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-            args = list(args)
-            for field in fields[len(args):]:
-                if field in kwargs:
-                    args.append(kwargs.pop(field))
-                elif field in self._defaults:
-                    args.append(self._defaults[field])
-                else:
-                    raise TypeError(f"{name}() missing argument {field!r}")
-            if kwargs:
-                raise TypeError(f"{name}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+    def __init__(self, *args: object) -> None:
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(self._fields)} arguments but {len(args)} were given")
         for setter, value in zip(self._setters, args):
             setter(self, value)
 
@@ -83,7 +67,7 @@ class VerificationReport(Record):
     empty tuple means every checked property held.
     """
 
-    failures: tuple[str, ...] = ()
+    failures: tuple[str, ...]
 
     @property
     def passed(self) -> bool:

@@ -129,40 +129,34 @@ class TwoSides(Record):
 # Parsing and rendering
 
 
-def _lines(text: str, comment: str | None) -> Iterator[tuple[int, str]]:
-    """``(lineno, line)``, stripped, for each line of ``text`` with more than a comment.
-
-    Numbered as ``str.splitlines`` splits, so a form feed ends a line too.
-    With ``comment`` ``"#"`` a ``#`` starts a comment that runs to the end of
-    its line; with ``"c"`` (DIMACS) so does a ``c`` that starts a line.
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = (raw.split("#", 1)[0] if comment == "#" else raw).strip()
-        if line and not (comment == "c" and line[0] == "c"):
-            yield lineno, line
-
-
 class _Reader:
-    """One parse's pass over ``_lines(text, comment)``, and its error rule.
+    """One parse's pass over the lines of ``text``, and its error rule.
 
-    Iterating yields the same pairs and keeps the line number.  Used as a
-    context manager around that loop, it is the one place where a malformed
-    field becomes a ``ParseError``: a ValueError or IndexError raised in the
-    body (a failed ``int()``, a wrong unpack arity) leaves as ``ParseError(
-    "line N: <detail>")``, with line N as written put in for ``{raw!r}``.
-    With ``own`` set, a ValueError with a message of its own gives that
-    message instead.
+    Iterating yields ``(lineno, line)``, stripped, for each line with more
+    than a comment, numbered as ``str.splitlines`` splits, so a form feed
+    ends a line too.  With ``comment`` ``"#"`` a ``#`` starts a comment that
+    runs to the end of its line; with ``"c"`` (DIMACS) so does a ``c`` that
+    starts a line.  Used as a context manager around that loop, it is the
+    one place where a malformed field becomes a ``ParseError``: a ValueError
+    or IndexError raised in the body (a failed ``int()``, a wrong unpack
+    arity) leaves as ``ParseError("line N: <detail>")``, with line N as
+    written put in for ``{raw!r}``.  With ``own`` set, a ValueError with a
+    message of its own gives that message instead.
     """
 
     __slots__ = ("text", "comment", "detail", "own", "lineno")
 
-    def __init__(self, text: str, comment: str | None, detail: str = "", own: bool = False) -> None:
+    def __init__(self, text: str, comment: str, detail: str = "", own: bool = False) -> None:
         self.text, self.comment, self.detail, self.own = text, comment, detail, own
         self.lineno = 0
 
     def __iter__(self) -> Iterator[tuple[int, str]]:
-        for self.lineno, line in _lines(self.text, self.comment):
-            yield self.lineno, line
+        hashes = self.comment == "#"
+        for lineno, raw in enumerate(self.text.splitlines(), start=1):
+            line = (raw.split("#", 1)[0] if hashes else raw).strip()
+            if line and (hashes or line[0] != "c"):
+                self.lineno = lineno
+                yield lineno, line
 
     def __enter__(self) -> _Reader:
         return self
@@ -258,10 +252,9 @@ def parse_graph(text: str) -> Graph:
 
 
 def detect_format(text: str) -> str:
-    """``"dimacs"`` when the first line that is not blank starts with ``p`` or ``c``, else ``"edge-list"``."""
-    for _, line in _lines(text, None):
-        return "dimacs" if line.startswith(("p", "c")) else "edge-list"
-    return "edge-list"
+    """``"dimacs"`` when the first line that is not blank starts with ``p`` or ``c`` (every line
+    break is whitespace, so that is the text's first non-whitespace character), else ``"edge-list"``."""
+    return "dimacs" if text.lstrip().startswith(("p", "c")) else "edge-list"
 
 
 def render_edge_list(g: Graph) -> str:

@@ -473,20 +473,20 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
     connectors: dict[tuple[int, int], tuple[int, int]] = {}
     parity: dict[int, int] = {}
     expected = None  # number of trees, once the header is seen
-    section = "header"
+    rank = 1  # last line's kind (1 T, 2 conn, 3 parity); conn and parity need all trees
     with _Reader(text, "#", "cannot parse certificate line {raw!r}") as lines:
         for lineno, line in lines:
-            if section == "header":
+            if expected is None:
                 head, count = line.split()
-                if head != "trees":
-                    raise ValueError
                 expected = int(count)
-                if expected < 1:
+                if head != "trees" or expected < 1:
                     raise ValueError
-                section = "trees"
-            elif line.startswith("T "):
-                if section != "trees":
-                    raise ValueError
+                continue
+            kind = ("T", "conn", "parity").index(line.split(" ", 1)[0]) + 1
+            if kind < rank or kind > 1 and len(trees) != expected:
+                raise ValueError
+            rank = kind
+            if kind == 1:
                 head, rest = line.split(":", 1)
                 if int(head.split()[1]) != len(trees) + 1:
                     raise ParseError(f"line {lineno}: tree labels must be 1,2,... in order")
@@ -499,11 +499,7 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
                     u, v = (int(x) for x in item.split("-"))
                     edges.add((u, v) if u < v else (v, u))
                 trees.append(ExpansionTree(verts, frozenset(edges)))
-            elif line.startswith("conn "):
-                if section == "trees" and len(trees) == expected:
-                    section = "conn"
-                if section != "conn":
-                    raise ValueError
+            elif kind == 2:
                 pair_part, edge_part = line[len("conn "):].split(":")
                 a, b = (int(x) for x in pair_part.split())
                 u, v = (int(x) for x in edge_part.split())
@@ -512,11 +508,7 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
                 if (a - 1, b - 1) in connectors:
                     raise ParseError(f"line {lineno}: duplicate connector for pair ({a}, {b})")
                 connectors[(a - 1, b - 1)] = (u, v) if u < v else (v, u)
-            elif line.startswith("parity "):
-                if section in ("trees", "conn") and len(trees) == expected:
-                    section = "parity"
-                if section != "parity":
-                    raise ValueError
+            else:
                 vpart, cpart = line[len("parity "):].split(":")
                 v, c = int(vpart), int(cpart)
                 if c not in (1, 2):
@@ -524,8 +516,6 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
                 if v in parity:
                     raise ParseError(f"line {lineno}: duplicate parity line for vertex {v}")
                 parity[v] = c
-            else:
-                raise ValueError
     if expected is None:
         raise ParseError("certificate is empty")
     if len(trees) != expected:

@@ -666,3 +666,97 @@ def _frozen_parse_int(token: str, lineno: int) -> int:
         return int(token)
     except ValueError:
         raise ParseError(f"line {lineno}: expected integer, got {token!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the line splitter, format detection and certificate
+# parser as they were before the splitter folded into the parsers' reader,
+# detection became one ``lstrip``, and the certificate parser lost its
+# section machine.  ``_frozen_lines`` and ``frozen_detect_format`` are
+# verbatim but for their names; the parser body is verbatim, with the
+# reader's error rule written out around its loop.
+
+
+def _frozen_lines(text: str, comment: str | None):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = (raw.split("#", 1)[0] if comment == "#" else raw).strip()
+        if line and not (comment == "c" and line[0] == "c"):
+            yield lineno, line
+
+
+def frozen_detect_format(text: str) -> str:
+    for _, line in _frozen_lines(text, None):
+        return "dimacs" if line.startswith(("p", "c")) else "edge-list"
+    return "edge-list"
+
+
+def frozen_parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertificate:
+    trees: list[ExpansionTree] = []
+    connectors: dict[tuple[int, int], tuple[int, int]] = {}
+    parity: dict[int, int] = {}
+    expected = None  # number of trees, once the header is seen
+    section = "header"
+    lineno = 0
+    try:
+        for lineno, line in _frozen_lines(text, "#"):
+            if section == "header":
+                head, count = line.split()
+                if head != "trees":
+                    raise ValueError
+                expected = int(count)
+                if expected < 1:
+                    raise ValueError
+                section = "trees"
+            elif line.startswith("T "):
+                if section != "trees":
+                    raise ValueError
+                head, rest = line.split(":", 1)
+                if int(head.split()[1]) != len(trees) + 1:
+                    raise ParseError(f"line {lineno}: tree labels must be 1,2,... in order")
+                vpart, _, epart = rest.partition("/")
+                verts = frozenset(int(x) for x in vpart.split(",") if x.strip())
+                edges = set()
+                for item in epart.split(","):
+                    if not item.strip():
+                        continue
+                    u, v = (int(x) for x in item.split("-"))
+                    edges.add((u, v) if u < v else (v, u))
+                trees.append(ExpansionTree(verts, frozenset(edges)))
+            elif line.startswith("conn "):
+                if section == "trees" and len(trees) == expected:
+                    section = "conn"
+                if section != "conn":
+                    raise ValueError
+                pair_part, edge_part = line[len("conn "):].split(":")
+                a, b = (int(x) for x in pair_part.split())
+                u, v = (int(x) for x in edge_part.split())
+                if not 1 <= a < b:
+                    raise ParseError(f"line {lineno}: connector labels must satisfy s < s'")
+                if (a - 1, b - 1) in connectors:
+                    raise ParseError(f"line {lineno}: duplicate connector for pair ({a}, {b})")
+                connectors[(a - 1, b - 1)] = (u, v) if u < v else (v, u)
+            elif line.startswith("parity "):
+                if section in ("trees", "conn") and len(trees) == expected:
+                    section = "parity"
+                if section != "parity":
+                    raise ValueError
+                vpart, cpart = line[len("parity "):].split(":")
+                v, c = int(vpart), int(cpart)
+                if c not in (1, 2):
+                    raise ParseError(f"line {lineno}: parity color must be 1 or 2")
+                if v in parity:
+                    raise ParseError(f"line {lineno}: duplicate parity line for vertex {v}")
+                parity[v] = c
+            else:
+                raise ValueError
+    except (ValueError, IndexError) as exc:
+        if type(exc) not in (ValueError, IndexError):
+            raise
+        raw = text.splitlines()[lineno - 1]
+        raise ParseError(f"line {lineno}: cannot parse certificate line {raw!r}") from None
+    if expected is None:
+        raise ParseError("certificate is empty")
+    if len(trees) != expected:
+        raise ParseError(f"expected {expected} trees, found {len(trees)}")
+    base = ExpansionCertificate(tuple(trees), connectors)
+    return OddExpansionCertificate(base, parity) if parity else base

@@ -1,6 +1,7 @@
 """Exact and greedy coloring, the doubled composition, and the format."""
 
 import pytest
+from hypothesis import given
 
 import oddminors.coloring as coloring
 from corpus import small_corpus
@@ -24,6 +25,7 @@ from oddminors import (
     verify_coloring,
 )
 from oracles import brute_chromatic_number, count_calls
+from test_partition import graphs
 
 
 class TestColorExact:
@@ -158,6 +160,12 @@ class TestSerialization:
     def test_round_trip(self, g):
         c = color_exact(g)
         assert parse_coloring(render_coloring(c)) == c
+
+    @given(graphs())
+    def test_round_trip_heuristic_and_composed(self, g):
+        q = build_quotient(g, compute_partition(g))
+        for c in (color_heuristic(g), compose_coloring(q, color_exact(q.h))):
+            assert parse_coloring(render_coloring(c)) == c
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

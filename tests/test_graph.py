@@ -33,6 +33,8 @@ from oddminors.graph import SplitMix64, detect_format, parse_dimacs, parse_edge_
 from oracles import (
     FrozenGraph,
     SortedView,
+    frozen_detect_format,
+    frozen_parse_certificate,
     frozen_parse_dimacs,
     frozen_parse_edge_list,
     frozen_verify_partition,
@@ -126,6 +128,15 @@ class TestParsing:
     @given(graphs())
     def test_dimacs_round_trip(self, g):
         assert parse_dimacs(render_dimacs(g)) == g
+
+    @given(graphs(), st.data())
+    def test_detected_round_trip_after_blank_and_comment_lines(self, g, data):
+        blank = st.text(" \t\x0b\x0c\r", max_size=3)
+        for render, comment in ((render_edge_list, "#"), (render_dimacs, "c")):
+            note = st.builds(lambda pad, rest: pad + comment + rest, blank, st.text(" #abc01", max_size=6))
+            line = st.one_of(blank, note)
+            prefix = "".join(f"{text}\n" for text in data.draw(st.lists(line, max_size=4)))
+            assert parse_graph(prefix + render(g)) == g
 
 
 class TestGenerators:
@@ -342,9 +353,9 @@ token_texts = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map("".join)
 
 
 @st.composite
-def near_artifacts(draw):
+def near_artifacts(draw, artifacts=FUZZ_ARTIFACTS):
     """A valid artifact with up to three short spans replaced by tokens."""
-    text = draw(st.sampled_from(FUZZ_ARTIFACTS))
+    text = draw(st.sampled_from(artifacts))
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         i = draw(st.integers(min_value=0, max_value=len(text)))
         j = draw(st.integers(min_value=i, max_value=min(len(text), i + 3)))
@@ -388,6 +399,43 @@ class TestParsersFailOnlyWithParseError:
     @settings(max_examples=400)
     def test_near_artifacts(self, text):
         self.check(text)
+
+
+@st.composite
+def sometimes_shuffled(draw, texts):
+    """A drawn text with up to two pairs of its lines swapped."""
+    lines = draw(texts).split("\n")
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i, j = (draw(st.integers(min_value=0, max_value=len(lines) - 1)) for _ in range(2))
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: its result, or its ParseError message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestAgainstFrozenLineRules:
+    """Format detection and the certificate parser against their frozen
+    copies, which split the text into lines themselves."""
+
+    @given(st.lists(st.sampled_from(FUZZ_TOKENS + [
+        "\t", "\x0b", "\x1c", "\x1f", "\x85", "\u2028", "\xa0", "\r\n",
+    ]), max_size=40).map("".join))
+    @settings(max_examples=400)
+    def test_detect_format(self, text):
+        assert detect_format(text) == frozen_detect_format(text)
+
+    @given(sometimes_shuffled(st.one_of(
+        st.just(FUZZ_ARTIFACTS[-1]), near_artifacts(FUZZ_ARTIFACTS[-1:]), near_artifacts(), token_texts,
+    )))
+    @settings(max_examples=400)
+    def test_parse_certificate(self, text):
+        assert outcome(parse_certificate, text) == outcome(frozen_parse_certificate, text)
 
 
 class TestAgainstFrozenGraph:

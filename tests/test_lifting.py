@@ -2,6 +2,7 @@
 
 import pytest
 
+import oddminors.lifting as lifting
 from corpus import small_corpus
 from oddminors import (
     BcpPartition,
@@ -11,6 +12,7 @@ from oddminors import (
     ExpansionTree,
     Graph,
     InvariantViolation,
+    OddExpansionCertificate,
     QuotientGraph,
     StructureError,
     TwoSides,
@@ -152,12 +154,26 @@ class TestReductionReport:
     def test_found_branch(self):
         rep = reduction_report(complete(5), 3)
         assert rep.certificate is not None
-        assert rep.verification_passed is True
+        assert verify_odd_expansion(rep.g, rep.certificate).passed
         assert rep.chi_h is None and rep.composed is None
         text = rep.render()
         assert "K3-expansion in quotient: found" in text
         assert "lifted odd K3-expansion:" in text
         assert "verification: PASS" in text
+
+    def test_failed_lift_raises(self, monkeypatch):
+        # A lift whose certificate fails verification is a bug, reported
+        # like an improper composed coloring, never rendered.
+        real = lifting.lift_expansion
+
+        def flipped(g, q, cert_h):
+            cert = real(g, q, cert_h)
+            v = min(cert.parity)
+            return OddExpansionCertificate(cert.base, {**cert.parity, v: 3 - cert.parity[v]})
+
+        monkeypatch.setattr(lifting, "lift_expansion", flipped)
+        with pytest.raises(InvariantViolation, match="lifted certificate fails verification"):
+            reduction_report(complete(5), 3)
 
     def test_not_found_branch(self):
         rep = reduction_report(cycle(4), 3)
@@ -191,6 +207,6 @@ class TestReductionReport:
     def test_dichotomy_on_corpus(self, name, g):
         rep = reduction_report(g, 3)
         if rep.certificate is not None:
-            assert rep.verification_passed, name
+            assert verify_odd_expansion(rep.g, rep.certificate).passed, name
         else:
             assert rep.composed.palette <= 2 * rep.chi_h, name
