@@ -9,22 +9,21 @@ Exit codes: 0 success or PASS, 1 FAIL or NOT FOUND (or output that could not
 be written), 2 usage or malformed input, 3 search/coloring budget exceeded.
 
 ``run`` is the library entry point: argv and stdin text in, the exit code and
-both streams back, with no process-wide effect.  ``main`` does the same on the
-real streams and returns the code.  ``entry`` is what ``python -m
-oddminors.cli`` and the ``oddminors`` console script run: ``main``, then, once
-the output is flushed, ``os._exit`` with its code, so the process skips the
-interpreter's teardown (final GC passes and module clean-up), which is a
-sizeable share of a short request.  An exception that escapes ``main`` still
-takes the normal interpreter exit.
+the stdout and stderr texts back.  Each command returns its output, so ``run``
+writes to neither stream and several threads may call it at once.  ``main``
+does the same on the real streams and returns the code.  ``entry`` is what
+``python -m oddminors.cli`` and the ``oddminors`` console script run:
+``main``, then, once the output is flushed, ``os._exit`` with its code, so the
+process skips the interpreter's teardown (final GC passes and module
+clean-up), which is a sizeable share of a short request.  An exception that
+escapes ``main`` still takes the normal interpreter exit.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import sys
 from collections.abc import Callable
-from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 from . import coloring as _coloring
@@ -109,12 +108,9 @@ def _help(command: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse(argv: list[str]) -> SimpleNamespace | None:
-    """Parse argv against ``COMMANDS``; None when help was asked for and printed."""
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Parse argv, which asks for no help, against ``COMMANDS``."""
     command = argv[0] if argv else None
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(_help(command if command in COMMANDS else None))
-        return None
     if command not in COMMANDS:
         given = "no command given" if command is None else f"unknown command {command!r}"
         raise ParseError(f"oddminors: {given}; choose from {', '.join(COMMANDS)}")
@@ -176,32 +172,29 @@ def _seed_list(spec: str) -> list[int]:
     return [int(x) for x in spec.split(",")]
 
 
-def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
+def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> tuple[int, str]:
+    """Run one command: its exit code and its stdout text."""
+    if "-h" in argv or "--help" in argv:
+        return 0, _help(argv[0] if argv[0] in COMMANDS else None)
     args = _parse(argv)
-    if args is None:
-        return 0
 
     if args.command == "gen":
         g = generate(" ".join(args.spec), args.seed)
         render = render_dimacs if args.format == "dimacs" else render_edge_list
-        sys.stdout.write(render(g))
-        return 0
+        return 0, render(g)
 
     if args.command == "bench":
-        return _bench(args)
+        return 0, _bench(args)
 
     g = parse_graph(read_stdin() if args.input is None else _read(args.input))
 
     if args.command == "partition":
         p = compute_partition(g)
         report = verify_partition(g, p)
-        sys.stdout.write(render_partition(p))
-        sys.stdout.write(report.render())
-        return 0 if report.passed else 1
+        return 0 if report.passed else 1, render_partition(p) + report.render()
 
     if args.command == "quotient":
-        sys.stdout.write(render_quotient(build_quotient(g, compute_partition(g))))
-        return 0
+        return 0, render_quotient(build_quotient(g, compute_partition(g)))
 
     if args.command == "color":
         if args.mode == "exact":
@@ -212,22 +205,18 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
             q = build_quotient(g, compute_partition(g))
             c_h = _coloring.color_exact(q.h, max_nodes=args.max_nodes)
             c = _coloring.compose_coloring(q, c_h)
-        sys.stdout.write(_coloring.render_coloring(c))
-        return 0
+        return 0, _coloring.render_coloring(c)
 
     if args.command in ("find-minor", "find-odd-minor"):
         finder = find_expansion if args.command == "find-minor" else find_odd_expansion
         cert = finder(g, args.t, max_nodes=args.max_nodes)
         if cert is None:
-            sys.stdout.write("NOT FOUND\n")
-            return 1
-        sys.stdout.write(render_certificate(cert))
-        return 0
+            return 1, "NOT FOUND\n"
+        return 0, render_certificate(cert)
 
     if args.command == "verify":
         report = _verify(g, args)
-        sys.stdout.write(report.render())
-        return 0 if report.passed else 1
+        return 0 if report.passed else 1, report.render()
 
     if args.command == "lift":
         q = build_quotient(g, compute_partition(g))
@@ -238,14 +227,11 @@ def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> int:
         else:
             cert_h = find_expansion(q.h, args.t, max_nodes=args.max_nodes)
             if cert_h is None:
-                sys.stdout.write("NOT FOUND\n")
-                return 1
-        sys.stdout.write(render_certificate(lift_expansion(g, q, cert_h)))
-        return 0
+                return 1, "NOT FOUND\n"
+        return 0, render_certificate(lift_expansion(g, q, cert_h))
 
     if args.command == "report":
-        sys.stdout.write(reduction_report(g, args.t, max_nodes=args.max_nodes).render())
-        return 0
+        return 0, reduction_report(g, args.t, max_nodes=args.max_nodes).render()
 
     raise AssertionError(f"unhandled command {args.command}")
 
@@ -270,7 +256,7 @@ BENCH_COLUMNS = (
 )
 
 
-def _bench(args: SimpleNamespace) -> int:
+def _bench(args: SimpleNamespace) -> str:
     from .graph import check_order, check_pairs, gnp
 
     try:
@@ -285,7 +271,7 @@ def _bench(args: SimpleNamespace) -> int:
         raise ParseError("bench grid must be non-empty")
     if min(ns) < 1 or not all(0 <= p <= 1 for p in ps):
         raise ParseError("bench grid needs every n >= 1 and every p in [0, 1]")
-    sys.stdout.write(",".join(BENCH_COLUMNS) + "\n")
+    rows = [",".join(BENCH_COLUMNS)]
     for n in ns:
         for p in ps:
             for seed in seeds:
@@ -304,8 +290,8 @@ def _bench(args: SimpleNamespace) -> int:
                     chi_g = None
                 ratio = "" if not chi_h else f"{composed / chi_h:.4f}"
                 row = (n, p, seed, len(part), chi_h, composed, chi_g, ratio)
-                sys.stdout.write(",".join("" if x is None else str(x) for x in row) + "\n")
-    return 0
+                rows.append(",".join("" if x is None else str(x) for x in row))
+    return "\n".join(rows) + "\n"
 
 
 def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
@@ -314,20 +300,14 @@ def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
 
 
 def _run(argv: list[str], read_stdin: Callable[[], str]) -> tuple[int, str, str]:
-    out_buf, err_buf = io.StringIO(), io.StringIO()
-    with redirect_stdout(out_buf), redirect_stderr(err_buf):
-        try:
-            code = _dispatch(argv, read_stdin)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
-        except (StructureError, ContractViolation) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 1
-        except BudgetExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 3
-    return code, out_buf.getvalue(), err_buf.getvalue()
+    try:
+        return *_dispatch(argv, read_stdin), ""
+    except ParseError as exc:
+        return 2, "", f"error: {exc}\n"
+    except (StructureError, ContractViolation) as exc:
+        return 1, "", f"error: {exc}\n"
+    except BudgetExceeded as exc:
+        return 3, "", f"error: {exc}\n"
 
 
 def main() -> int:

@@ -8,7 +8,7 @@ greedy algorithm in the package fully deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate
 
 from ._record import Record
@@ -140,14 +140,14 @@ class _Reader:
     one place where a malformed field becomes a ``ParseError``: a ValueError
     or IndexError raised in the body (a failed ``int()``, a wrong unpack
     arity) leaves as ``ParseError("line N: <detail>")``, with line N as
-    written put in for ``{raw!r}``.  With ``own`` set, a ValueError with a
-    message of its own gives that message instead.
+    written put in for ``{raw!r}``.  A reader without a ``detail`` gives
+    the ValueError's own message instead.
     """
 
-    __slots__ = ("text", "comment", "detail", "own", "lineno")
+    __slots__ = ("text", "comment", "detail", "lineno")
 
-    def __init__(self, text: str, comment: str, detail: str = "", own: bool = False) -> None:
-        self.text, self.comment, self.detail, self.own = text, comment, detail, own
+    def __init__(self, text: str, comment: str, detail: str = "") -> None:
+        self.text, self.comment, self.detail = text, comment, detail
         self.lineno = 0
 
     def __iter__(self) -> Iterator[tuple[int, str]]:
@@ -163,10 +163,37 @@ class _Reader:
 
     def __exit__(self, kind, exc, tb) -> None:
         if kind is ValueError or kind is IndexError:
-            detail = str(exc) if self.own and kind is ValueError else ""
-            if not detail:
-                detail = self.detail.format(raw=self.text.splitlines()[self.lineno - 1])
+            detail = self.detail.format(raw=self.text.splitlines()[self.lineno - 1]) if self.detail else str(exc)
             raise ParseError(f"line {self.lineno}: {detail}") from None
+
+
+def _parse_ids(field: str, parse: Callable[[str], object] = int) -> list:
+    """Each comma-separated token of ``field`` through ``parse``; none for an empty field.
+
+    With ``_distinct``, the id-field rule of the partition and certificate
+    formats: an empty token fails ``parse`` (a ValueError the ``_Reader``
+    reports), and no item may repeat within one field.
+    """
+    return [parse(tok) for tok in field.split(",")] if field else []
+
+
+_NO_IDS: frozenset[int] = frozenset()  # the one empty set all sides and parsed fields share
+
+
+def _side(ids: list[int]) -> frozenset[int]:
+    return frozenset(ids) if ids else _NO_IDS
+
+
+def _distinct(items: list, repeated: str, lineno: int) -> frozenset:
+    """``items`` as a set; a repeat is ``ParseError("line N: <repeated>")``, the item put in for ``{}``."""
+    out = _side(items)
+    if len(out) < len(items):
+        seen = set()
+        for x in items:
+            if x in seen:
+                raise ParseError(f"line {lineno}: {repeated.format(x)}")
+            seen.add(x)
+    return out
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -175,7 +202,7 @@ def parse_edge_list(text: str) -> Graph:
     ``#`` starts a comment that runs to the end of the line; blank lines
     are skipped.  Edges stream into ``Graph`` as they are read.
     """
-    with _Reader(text, "#", own=True) as lines:
+    with _Reader(text, "#") as lines:
         items = _edge_list_items(lines)
         return Graph(next(items), items)
 
@@ -210,7 +237,7 @@ def parse_dimacs(text: str) -> Graph:
 
     Edges stream into ``Graph`` as they are read.
     """
-    with _Reader(text, "c", own=True) as lines:
+    with _Reader(text, "c") as lines:
         items = _dimacs_items(lines)
         return Graph(next(items), items)
 

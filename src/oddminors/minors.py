@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     StructureError,
 )
-from .graph import Graph, _Reader
+from .graph import Graph, _distinct, _parse_ids, _Reader
 
 # The search refuses a graph whose (t+1)^n branch-set maps exceed this,
 # before it visits a node; it covers n=10 at t=5 (6^10 ~ 60.5M).
@@ -467,6 +467,11 @@ def render_certificate(cert: ExpansionCertificate | OddExpansionCertificate) -> 
     return "\n".join(lines) + "\n"
 
 
+def _tree_edge(token: str) -> tuple[int, int]:
+    u, v = (int(x) for x in token.split("-"))
+    return (u, v) if u < v else (v, u)
+
+
 def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertificate:
     """Inverse of render_certificate; parity lines make the result odd."""
     trees: list[ExpansionTree] = []
@@ -491,14 +496,9 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
                 if int(head.split()[1]) != len(trees) + 1:
                     raise ParseError(f"line {lineno}: tree labels must be 1,2,... in order")
                 vpart, _, epart = rest.partition("/")
-                verts = frozenset(int(x) for x in vpart.split(",") if x.strip())
-                edges = set()
-                for item in epart.split(","):
-                    if not item.strip():
-                        continue
-                    u, v = (int(x) for x in item.split("-"))
-                    edges.add((u, v) if u < v else (v, u))
-                trees.append(ExpansionTree(verts, frozenset(edges)))
+                verts = _distinct(_parse_ids(vpart.strip()), "vertex {} repeated", lineno)
+                edges = _distinct(_parse_ids(epart.strip(), _tree_edge), "edge {0[0]}-{0[1]} repeated", lineno)
+                trees.append(ExpansionTree(verts, edges))
             elif kind == 2:
                 pair_part, edge_part = line[len("conn "):].split(":")
                 a, b = (int(x) for x in pair_part.split())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._record import Record, VerificationReport
 from .errors import ParseError
-from .graph import Graph, TwoSides, _Reader
+from .graph import Graph, TwoSides, _distinct, _parse_ids, _Reader, _side
 
 
 class BcpPartition(Record):
@@ -244,31 +244,7 @@ def parse_partition(text: str) -> BcpPartition:
             ids_b = _parse_ids(b_field[2:])
             if idx != len(parts):
                 raise ParseError(f"line {lineno}: part index {idx} out of order")
-            side_a = _distinct(ids_a, "A", lineno)
-            side_b = _distinct(ids_b, "B", lineno)
+            side_a = _distinct(ids_a, "vertex {} repeated on side A", lineno)
+            side_b = _distinct(ids_b, "vertex {} repeated on side B", lineno)
             parts.append(TwoSides(side_a, side_b))
     return BcpPartition(tuple(parts))
-
-
-def _parse_ids(field: str) -> list[int]:
-    if not field:
-        return []
-    return [int(tok) for tok in field.split(",")]
-
-
-_NO_IDS: frozenset[int] = frozenset()  # the one empty side all partitions share
-
-
-def _side(ids: list[int]) -> frozenset[int]:
-    return frozenset(ids) if ids else _NO_IDS
-
-
-def _distinct(ids: list[int], name: str, lineno: int) -> frozenset[int]:
-    out = _side(ids)
-    if len(out) < len(ids):
-        seen: set[int] = set()
-        for v in ids:
-            if v in seen:
-                raise ParseError(f"line {lineno}: vertex {v} repeated on side {name}")
-            seen.add(v)
-    return out

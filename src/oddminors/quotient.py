@@ -109,7 +109,7 @@ def parse_quotient(text: str) -> tuple[Graph, dict[tuple[int, int], WitnessTripl
             if (i, j) in witnesses:
                 raise ParseError(f"line {lineno}: duplicate witness for edge ({i}, {j})")
             witnesses[(i, j)] = WitnessTriple(u1, u2, v)
-    with _Reader(text, "#", own=True) as lines:
+    with _Reader(text, "#") as lines:
         items = _edge_list_items(item for item in lines if not item[1].startswith("w "))
         h = Graph(next(items), items)
     edges = h.sorted_edges()

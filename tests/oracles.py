@@ -674,7 +674,9 @@ def _frozen_parse_int(token: str, lineno: int) -> int:
 # detection became one ``lstrip``, and the certificate parser lost its
 # section machine.  ``_frozen_lines`` and ``frozen_detect_format`` are
 # verbatim but for their names; the parser body is verbatim, with the
-# reader's error rule written out around its loop.
+# reader's error rule written out around its loop, except its tree line,
+# which follows the later id-field rule: an empty token is malformed, and a
+# vertex or edge may not repeat within its field.
 
 
 def _frozen_lines(text: str, comment: str | None):
@@ -714,14 +716,18 @@ def frozen_parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCe
                 if int(head.split()[1]) != len(trees) + 1:
                     raise ParseError(f"line {lineno}: tree labels must be 1,2,... in order")
                 vpart, _, epart = rest.partition("/")
-                verts = frozenset(int(x) for x in vpart.split(",") if x.strip())
-                edges = set()
-                for item in epart.split(","):
-                    if not item.strip():
-                        continue
-                    u, v = (int(x) for x in item.split("-"))
-                    edges.add((u, v) if u < v else (v, u))
-                trees.append(ExpansionTree(verts, frozenset(edges)))
+                vids = [int(x) for x in vpart.split(",")] if vpart.strip() else []
+                for i, v in enumerate(vids):
+                    if v in vids[:i]:
+                        raise ParseError(f"line {lineno}: vertex {v} repeated")
+                edges = []
+                for item in epart.split(",") if epart.strip() else ():
+                    u, v = sorted(int(x) for x in item.split("-"))
+                    edges.append((u, v))
+                for i, (u, v) in enumerate(edges):
+                    if (u, v) in edges[:i]:
+                        raise ParseError(f"line {lineno}: edge {u}-{v} repeated")
+                trees.append(ExpansionTree(frozenset(vids), frozenset(edges)))
             elif line.startswith("conn "):
                 if section == "trees" and len(trees) == expected:
                     section = "conn"

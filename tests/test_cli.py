@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 from corpus import corpus
@@ -439,6 +440,22 @@ class TestMalformedArtifacts:
         result = self._verify(tmp_path, "--quotient", "# hdr\n\n2\n0 1 7\nw 0 1 : 0 1 2\n")
         assert result == (2, "", "error: line 4: expected 'u v', got '0 1 7'\n")
 
+    @pytest.mark.parametrize(
+        "tree,detail",
+        [
+            ("T 1: 0,,1 / 0-1,,", "cannot parse certificate line 'T 1: 0,,1 / 0-1,,'"),
+            ("T 1: 0,0 /", "vertex 0 repeated"),
+            ("T 1: 0,1 / 0-1,1-0", "edge 0-1 repeated"),
+        ],
+        ids=["empty-token", "repeated-vertex", "repeated-edge"],
+    )
+    def test_certificate_id_fields(self, tmp_path, tree, detail):
+        # The triangle holds each tree; without the id rule these certificates PASS.
+        art = tmp_path / "cert.txt"
+        art.write_text(f"trees 1\n{tree}\n")
+        result = run(["verify", "--cert", str(art)], stdin_text="3\n0 1\n0 2\n1 2\n")
+        assert result == (2, "", f"error: line 2: {detail}\n")
+
 
 class TestGoldenStdout:
     """Byte-identical output on a fixed corpus slice, pinned by sha256.
@@ -779,6 +796,68 @@ class TestMainStdin:
     def test_returns_the_code_of_run(self, monkeypatch, capsys, argv, text):
         # In process, main() returns its code; only entry() ends the process.
         assert self._main(monkeypatch, capsys, *argv, stdin=io.StringIO(text)) == run(argv, text)
+
+
+class TestRunIsPure:
+    """``run`` returns its output and touches neither process stream, so
+    threads may call it at once."""
+
+    # Eight requests, each with its own graph and its own output.
+    REQUESTS = [
+        (["partition"], render_edge_list(oddminors.gnp(40 + 5 * i, 0.3, i))) for i in range(8)
+    ]
+    ROUNDS = 15
+
+    @pytest.fixture(autouse=True)
+    def _switch_often(self):
+        # Threads take turns far more often than by default, so calls overlap.
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(before)
+
+    def _in_threads(self, requests):
+        """Each (argv, text) request run ``ROUNDS`` times in its own thread; each thread's results."""
+        start = threading.Barrier(len(requests))
+        results = [None] * len(requests)
+
+        def work(i, argv, text):
+            start.wait()
+            results[i] = [run(argv, text) for _ in range(self.ROUNDS)]
+
+        threads = [threading.Thread(target=work, args=(i, *request)) for i, request in enumerate(requests)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return results
+
+    def test_concurrent_calls_get_their_serial_results(self):
+        serial = [run(argv, text) for argv, text in self.REQUESTS]
+        assert len(set(serial)) == len(serial) and all(code == 0 for code, _, _ in serial)
+        for got, expected in zip(self._in_threads(self.REQUESTS), serial):
+            assert got == [expected] * self.ROUNDS
+
+    def test_streams_unchanged_after_concurrent_usage_errors(self):
+        before = sys.stdout, sys.stderr
+        requests = self.REQUESTS[:4] + [(["frobnicate"], ""), (["find-minor"], C5), (["-h"], ""), (["gen"], "")]
+        results = self._in_threads(requests)
+        assert sys.stdout is before[0] and sys.stderr is before[1]
+        for got, (argv, text) in zip(results, requests):
+            assert got == [run(argv, text)] * self.ROUNDS
+
+    def test_process_streams_see_no_output_and_lose_none(self, capsys):
+        for argv, text in EXIT_CASES + [(["-h"], ""), (["bench", "--n", "4", "--p", "0.5", "--seeds", "1"], "")]:
+            run(argv, text)
+        assert capsys.readouterr() == ("", "")
+
+        def read_stdin():  # something else writes to the process streams during a call
+            print("note")
+            print("warning", file=sys.stderr)
+            return C5
+
+        assert cli._run(["partition"], read_stdin) == run(["partition"], C5)
+        assert capsys.readouterr() == ("note\n", "warning\n")
 
 
 def _python(*args, unbuffered=False, **kwargs):

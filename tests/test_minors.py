@@ -461,3 +461,36 @@ class TestCertificateFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_certificate(text)
+
+    @pytest.mark.parametrize(
+        "tree,message",
+        [
+            ("T 1: 0,,1 / 0-1", "cannot parse certificate line 'T 1: 0,,1 / 0-1'"),
+            ("T 1: 0,1, / 0-1", "cannot parse certificate line 'T 1: 0,1, / 0-1'"),
+            ("T 1: 0,1 / 0-1,,", "cannot parse certificate line 'T 1: 0,1 / 0-1,,'"),
+            ("T 1: 0,1 / ,0-1", "cannot parse certificate line 'T 1: 0,1 / ,0-1'"),
+            ("T 1: 0,0 /", "vertex 0 repeated"),
+            ("T 1: 0,1,2,1 / 0-1", "vertex 1 repeated"),
+            ("T 1: 0,1 / 0-1,0-1", "edge 0-1 repeated"),
+            ("T 1: 0,1 / 0-1,1-0", "edge 0-1 repeated"),
+        ],
+    )
+    def test_tree_fields_follow_the_id_rule(self, tree, message):
+        # An empty token is malformed, and no vertex or edge repeats in its field.
+        with pytest.raises(ParseError) as info:
+            parse_certificate(f"# two trees\ntrees 2\n{tree}\nT 2: 3 /\n")
+        assert str(info.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize(
+        "tree,vertices,edges",
+        [
+            ("T 1: /", set(), set()),
+            ("T 1: 0 /", {0}, set()),
+            ("T 1: 0", {0}, set()),
+            ("T 1:  0 , 1  /  1 - 0 ", {0, 1}, {(0, 1)}),
+        ],
+    )
+    def test_empty_and_spaced_tree_fields_parse(self, tree, vertices, edges):
+        # A field that is empty as a whole is no token; spaces around a token are allowed.
+        tree_read = parse_certificate(f"trees 1\n{tree}\n").trees[0]
+        assert (tree_read.vertices, tree_read.edges) == (vertices, edges)

@@ -48,7 +48,7 @@ IDS = [cls.__name__ for cls, _, _ in SAMPLES]
 
 @pytest.mark.parametrize("cls,fields,hashable", SAMPLES, ids=IDS)
 class TestRecordContract:
-    def test_keyword_and_positional_construction_agree(self, cls, fields, hashable):
+    def test_construction_is_positional_only(self, cls, fields, hashable):
         # A record takes its fields by position only; a keyword is a TypeError.
         record = cls(*fields.values())
         assert record._fields == tuple(fields)
