@@ -28,7 +28,9 @@ from types import SimpleNamespace
 
 from . import coloring as _coloring
 from .errors import DEFAULT_MAX_NODES, BudgetExceeded, ContractViolation, ParseError, StructureError
-from .graph import Graph, generate, parse_graph, render_dimacs, render_edge_list
+from .graph import (
+    MAX_VERTICES, Graph, check_order, check_pairs, generate, gnp, parse_graph, render_dimacs, render_edge_list,
+)
 from .lifting import lift_expansion, reduction_report
 from .minors import (
     OddExpansionCertificate,
@@ -165,11 +167,18 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _seed_list(spec: str) -> list[int]:
+def _seed_list(spec: str) -> range | list[int]:
+    """The ``--seeds`` values; more than ``MAX_VERTICES`` is a ValueError, raised before any list is built."""
     if ".." in spec:
         lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
+        seeds = range(int(lo), int(hi) + 1)
+        count = max(seeds.stop - seeds.start, 0)
+    else:
+        seeds = [int(x) for x in spec.split(",")]
+        count = len(seeds)
+    if count > MAX_VERTICES:
+        raise ValueError(f"seed count {count} exceeds {MAX_VERTICES}")
+    return seeds
 
 
 def _dispatch(argv: list[str], read_stdin: Callable[[], str]) -> tuple[int, str]:
@@ -257,8 +266,6 @@ BENCH_COLUMNS = (
 
 
 def _bench(args: SimpleNamespace) -> str:
-    from .graph import check_order, check_pairs, gnp
-
     try:
         ns = [check_order(int(x)) for x in args.n.split(",")]
         for n in ns:

@@ -109,9 +109,6 @@ def color_exact(g: Graph, *, max_nodes: int = DEFAULT_MAX_NODES) -> Coloring:
     size: the search visits at most max_nodes nodes, and one more raises
     BudgetExceeded; it never degrades to a heuristic answer.
     """
-    if g.n == 0:
-        return Coloring(())
-
     greedy = color_heuristic(g)
     best_k = greedy.palette
     best = list(greedy.colors)

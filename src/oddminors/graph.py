@@ -303,19 +303,19 @@ def render_dimacs(g: Graph) -> str:
 def complete(t: int) -> Graph:
     if t < 1:
         raise StructureError("complete graph needs at least one vertex")
-    return Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+    return Graph(t, ((i, j) for i in range(t) for j in range(i + 1, t)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise StructureError("cycle needs at least three vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise StructureError("both sides of a complete bipartite graph must be non-empty")
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return Graph(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def petersen() -> Graph:
@@ -325,48 +325,35 @@ def petersen() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
-class SplitMix64:
-    """SplitMix64 PRNG: fixed, tiny, reproducible across runs and languages.
+def splitmix64(seed: int) -> Iterator[int]:
+    """The SplitMix64 stream of 64-bit outputs: fixed, tiny, reproducible across runs and languages.
 
     state' = state + 0x9E3779B97F4A7C15;  output mixes with the constants
-    0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.  ``unit()`` maps the top 53
-    bits to [0, 1).
+    0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.
     """
-
-    MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed & self.MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
-        return z ^ (z >> 31)
-
-    def unit(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
 
 
 def gnp(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p) with a SplitMix64 stream.
 
     One draw is consumed per unordered pair (u, v), u < v, in lexicographic
-    order, so the same (n, seed) prefix yields nested edge decisions for
-    any p.
+    order, its top 53 bits mapped to [0, 1), so the same (n, seed) prefix
+    yields nested edge decisions for any p.
     """
     if n < 1:
         raise StructureError("gnp needs at least one vertex")
     if not (0.0 <= p <= 1.0):
         raise StructureError("edge probability must lie in [0, 1]")
-    rng = SplitMix64(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.unit() < p:
-                edges.append((u, v))
-    return Graph(n, edges)
+    draws = splitmix64(seed)
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)
+                     if (next(draws) >> 11) * 2.0**-53 < p))
 
 
 def generate(spec: str, seed: int = 0) -> Graph:
@@ -398,10 +385,10 @@ def generate(spec: str, seed: int = 0) -> Graph:
 
 
 # The largest vertex count a graph file, generator spec or bench grid may ask
-# for.  The parsers allocate per vertex from the header before any edge is
-# read, and the generators build their edge list before ``Graph`` sees n, so a
-# larger count is refused as malformed input, not left to fail as an
-# allocation or to run for ever.
+# for, and the most seeds a bench grid may name.  The parsers and ``Graph``
+# allocate per vertex before any edge is read or generated, so a larger count
+# is refused as malformed input, not left to fail as an allocation or to run
+# for ever.
 MAX_VERTICES = 10**7
 
 
@@ -416,8 +403,9 @@ def check_order(n: int) -> int:
     return n
 
 
-# The most vertex pairs a generator may walk, checked before any edge is built
-# or draw made: n(n-1)/2 for ``complete`` and ``gnp``, a*b for ``complete-bipartite``.
+# The most vertex pairs a generator may walk, checked before any is walked or
+# draw taken: n(n-1)/2 for ``complete`` and ``gnp``, a*b for ``complete-bipartite``.
+# No edge list is built, but each edge a generator streams lands in ``Graph``'s arrays.
 MAX_PAIRS = 10**7
 
 

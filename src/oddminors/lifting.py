@@ -3,8 +3,8 @@
 Each quotient tree blows up into a tree of G that spans every part it
 touches; 2-coloring that tree makes each part's sides two color classes,
 so the stored witness triple of every quotient connector hands us a
-monochromatic connecting edge.  Failure to find one is a bug by
-construction and aborts loudly instead of returning a bad certificate.
+monochromatic connecting edge.  The lift verifies its own certificate: a
+failure is a bug by construction and raises instead of returning it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ def lift_expansion(g: Graph, q: QuotientGraph, cert_h: ExpansionCertificate) -> 
     from the least vertex of its least part (color 1).  Per pair: the
     witness triple (u1, u2, v) of the quotient connector has u1, u2 on
     opposite sides of one part, hence opposite colors, so exactly one of
-    u1·v, u2·v is monochromatic — that edge is the connector.
+    u1·v, u2·v is monochromatic — that edge is the connector.  A result
+    that fails ``verify_odd_expansion`` raises InvariantViolation.
     """
     report = verify_expansion(q.h, cert_h)
     if not report.passed:
@@ -63,19 +64,12 @@ def lift_expansion(g: Graph, q: QuotientGraph, cert_h: ExpansionCertificate) -> 
     connectors: dict[tuple[int, int], tuple[int, int]] = {}
     for (a, b), (i, j) in cert_h.connectors.items():
         w = q.witnesses[(i, j) if i < j else (j, i)]
-        if color[w.u1] == color[w.v]:
-            u = w.u1
-        elif color[w.u2] == color[w.v]:
-            u = w.u2
-        else:
-            # The witness sides force one match; reaching this is a bug.
-            raise InvariantViolation(
-                f"no monochromatic connector for pair ({a}, {b}): witness "
-                f"({w.u1}, {w.u2}, {w.v}) has colors "
-                f"({color[w.u1]}, {color[w.u2]}, {color[w.v]})"
-            )
+        u = w.u1 if color[w.u1] == color[w.v] else w.u2
         connectors[(a, b)] = (u, w.v) if u < w.v else (w.v, u)
-    return OddExpansionCertificate(ExpansionCertificate(tuple(trees), connectors), color)
+    cert = OddExpansionCertificate(ExpansionCertificate(tuple(trees), connectors), color)
+    if not verify_odd_expansion(g, cert).passed:
+        raise InvariantViolation("lifted certificate fails verification")
+    return cert
 
 
 class ReductionReport(Record):
@@ -125,10 +119,7 @@ def reduction_report(g: Graph, t: int, *, max_nodes: int = DEFAULT_MAX_NODES) ->
     q = build_quotient(g, compute_partition(g))
     cert_h = find_expansion(q.h, t, max_nodes=max_nodes)
     if cert_h is not None:
-        cert = lift_expansion(g, q, cert_h)
-        if not verify_odd_expansion(g, cert).passed:
-            raise InvariantViolation("lifted certificate fails verification")
-        return ReductionReport(g, t, q, cert, None, None)
+        return ReductionReport(g, t, q, lift_expansion(g, q, cert_h), None, None)
     c_h = color_exact(q.h, max_nodes=max_nodes)
     composed = compose_coloring(q, c_h)
     if not verify_coloring(g, composed).passed:

@@ -655,6 +655,13 @@ class TestBench:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    def test_seed_range_past_the_ceiling_rejected_before_it_is_built(self):
+        # A trillion-seed range is refused by its length; it once ran out of
+        # memory building the list.
+        code, out, err = run(["bench", "--n", "3", "--p", "0.5", "--seeds", "1..1000000000000"])
+        assert (code, out) == (2, "")
+        assert err == "error: bad bench grid: seed count 1000000000000 exceeds 10000000\n"
+
     def test_empty_grid_rejected(self):
         code, _, err = run(["bench", "--n", "", "--p", "0.5", "--seeds", "1"])
         assert code == 2

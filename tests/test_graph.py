@@ -29,7 +29,7 @@ from oddminors import (
     verify_partition,
 )
 from corpus import small_corpus
-from oddminors.graph import SplitMix64, detect_format, parse_dimacs, parse_edge_list
+from oddminors.graph import detect_format, parse_dimacs, parse_edge_list, splitmix64
 from oracles import (
     FrozenGraph,
     SortedView,
@@ -182,7 +182,7 @@ class TestGenerators:
 
 
 def _splitmix_reference(seed, count):
-    """Same constants, written out independently of the class."""
+    """Same constants, written out independently of ``splitmix64``."""
     out = []
     x = seed & MASK
     for _ in range(count):
@@ -194,16 +194,14 @@ def _splitmix_reference(seed, count):
     return out
 
 
-class TestRandom:
-    @pytest.mark.parametrize("seed", [0, 1, 42, MASK])
-    def test_splitmix_matches_reference(self, seed):
-        rng = SplitMix64(seed)
-        assert [rng.next_u64() for _ in range(5)] == _splitmix_reference(seed, 5)
+SEEDS = [0, 1, 42, MASK, -1]
 
-    def test_unit_draws_are_unit_interval(self):
-        rng = SplitMix64(7)
-        draws = [rng.unit() for _ in range(100)]
-        assert all(0.0 <= x < 1.0 for x in draws)
+
+class TestRandom:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_splitmix_matches_reference(self, seed):
+        draws = splitmix64(seed)
+        assert [next(draws) for _ in range(5)] == _splitmix_reference(seed, 5)
 
     def test_gnp_extremes(self):
         assert gnp(10, 0.0, 5).m == 0
@@ -214,14 +212,68 @@ class TestRandom:
         assert gnp(12, 0.3, 99) != gnp(12, 0.3, 100)
 
     def test_gnp_consumes_one_draw_per_pair_in_lex_order(self):
-        n, p, seed = 7, 0.4, 11
-        draws = iter(_splitmix_reference(seed, n * (n - 1) // 2))
-        expected = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (next(draws) >> 11) * 2.0**-53 < p:
-                    expected.append((u, v))
-        assert gnp(n, p, seed).sorted_edges() == expected
+        # Each draw's top 53 bits, mapped to [0, 1), against p.
+        n, p = 7, 0.4
+        for seed in SEEDS:
+            draws = iter(_splitmix_reference(seed, n * (n - 1) // 2))
+            expected = []
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if (next(draws) >> 11) * 2.0**-53 < p:
+                        expected.append((u, v))
+            assert gnp(n, p, seed).sorted_edges() == expected, seed
+
+
+# Each streaming generator, its arguments, and the pairs, in order, that it hands ``Graph``.
+STREAMED = [
+    (complete, (6,), [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+    (cycle, (7,), [(i, (i + 1) % 7) for i in range(7)]),
+    (complete_bipartite, (3, 4), [(i, 3 + j) for i in range(3) for j in range(4)]),
+    (gnp, (9, 0.4, 5), gnp(9, 0.4, 5).sorted_edges()),
+]
+
+SMALL = [
+    *((complete, (t,)) for t in range(1, 7)),
+    *((cycle, (n,)) for n in range(3, 9)),
+    *((complete_bipartite, (a, b)) for a in range(1, 4) for b in range(1, 4)),
+    *((gnp, (n, p, seed)) for n in (1, 2, 5, 9) for p in (0.0, 0.3, 1.0) for seed in (0, 7)),
+]
+
+
+def call_id(make, args):
+    return f"{make.__name__}{args}"
+
+
+def record_graph_calls(monkeypatch):
+    """Patch ``Graph.__init__`` to log each call's ``(n, edges argument, pairs)``."""
+    calls = []
+    real = Graph.__init__
+
+    def recorder(self, n, edges=()):
+        pairs = list(edges)
+        calls.append((n, edges, pairs))
+        real(self, n, pairs)
+
+    monkeypatch.setattr(Graph, "__init__", recorder)
+    return calls
+
+
+class TestStreamingGenerators:
+    @pytest.mark.parametrize("make,args,pairs", STREAMED, ids=[call_id(*c[:2]) for c in STREAMED])
+    def test_hands_graph_an_iterator_not_a_list(self, monkeypatch, make, args, pairs):
+        calls = record_graph_calls(monkeypatch)
+        make(*args)
+        [(_, edges, streamed)] = calls
+        assert iter(edges) is edges  # an iterator: no list or tuple is its own iterator
+        assert streamed == pairs
+
+    @pytest.mark.parametrize("make,args", SMALL, ids=[call_id(*c) for c in SMALL])
+    def test_equals_frozen_graph_of_its_pairs(self, monkeypatch, make, args):
+        with monkeypatch.context() as m:
+            calls = record_graph_calls(m)
+            make(*args)
+        [(n, _, pairs)] = calls
+        assert_same_graph(make(*args), FrozenGraph(n, pairs))
 
 
 # ---------------------------------------------------------------------------

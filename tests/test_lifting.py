@@ -24,9 +24,11 @@ from oddminors import (
     find_expansion,
     lift_expansion,
     reduction_report,
+    render_edge_list,
     verify_coloring,
     verify_odd_expansion,
 )
+from oddminors.cli import run
 
 
 def pipeline(g):
@@ -114,10 +116,32 @@ class TestLiftExpansion:
         g = cycle(5)
         q = pipeline(g)
         # u1 = u2 kills the opposite-sides guarantee: 3 is colored 2,
-        # its neighbor 4 is colored 1, so neither edge is monochromatic.
+        # its neighbor 4 is colored 1, so neither edge is monochromatic and
+        # the lift's own verification refuses the bichromatic connector.
         q.witnesses[(0, 1)] = WitnessTriple(3, 3, 4)
-        with pytest.raises(InvariantViolation, match="no monochromatic connector"):
+        with pytest.raises(InvariantViolation, match="lifted certificate fails verification"):
             lift_expansion(g, q, find_expansion(q.h, 2))
+
+    def test_recolored_unwitnessed_vertex_is_refused(self, monkeypatch):
+        # In K6's lifted K3-expansion no witness names vertex 5, so only
+        # the final verification sees its flipped color; neither the
+        # library nor the lift command returns the bad certificate.
+        g = complete(6)
+        q = pipeline(g)
+        assert 5 not in {x for w in q.witnesses.values() for x in (w.u1, w.u2, w.v)}
+        real = lifting.two_color_tree
+
+        def flip_5(edges, root):
+            color = real(edges, root)
+            if 5 in color:
+                color[5] = 3 - color[5]
+            return color
+
+        monkeypatch.setattr(lifting, "two_color_tree", flip_5)
+        with pytest.raises(InvariantViolation, match="lifted certificate fails verification"):
+            lift_expansion(g, q, find_expansion(q.h, 3))
+        with pytest.raises(InvariantViolation, match="lifted certificate fails verification"):
+            run(["lift", "-t", "3"], render_edge_list(g))
 
     @pytest.mark.parametrize("name,g", small_corpus(9))
     def test_lifts_verify_on_corpus(self, name, g):
@@ -164,14 +188,14 @@ class TestReductionReport:
     def test_failed_lift_raises(self, monkeypatch):
         # A lift whose certificate fails verification is a bug, reported
         # like an improper composed coloring, never rendered.
-        real = lifting.lift_expansion
+        real = lifting.two_color_tree
 
-        def flipped(g, q, cert_h):
-            cert = real(g, q, cert_h)
-            v = min(cert.parity)
-            return OddExpansionCertificate(cert.base, {**cert.parity, v: 3 - cert.parity[v]})
+        def flipped(edges, root):
+            color = real(edges, root)
+            color[root] = 3 - color[root]
+            return color
 
-        monkeypatch.setattr(lifting, "lift_expansion", flipped)
+        monkeypatch.setattr(lifting, "two_color_tree", flipped)
         with pytest.raises(InvariantViolation, match="lifted certificate fails verification"):
             reduction_report(complete(5), 3)
 
