@@ -66,53 +66,3 @@ from .quotient import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BcpPartition",
-    "BudgetExceeded",
-    "Coloring",
-    "ContractViolation",
-    "ExpansionCertificate",
-    "ExpansionTree",
-    "Graph",
-    "InvariantViolation",
-    "OddExpansionCertificate",
-    "ParseError",
-    "QuotientGraph",
-    "ReductionReport",
-    "StructureError",
-    "TwoSides",
-    "VerificationReport",
-    "WitnessTriple",
-    "build_quotient",
-    "color_exact",
-    "color_heuristic",
-    "complete",
-    "complete_bipartite",
-    "compose_coloring",
-    "compute_partition",
-    "cycle",
-    "find_expansion",
-    "find_odd_expansion",
-    "generate",
-    "gnp",
-    "lift_expansion",
-    "parse_certificate",
-    "parse_coloring",
-    "parse_graph",
-    "parse_partition",
-    "parse_quotient",
-    "petersen",
-    "reduction_report",
-    "render_certificate",
-    "render_coloring",
-    "render_dimacs",
-    "render_edge_list",
-    "render_partition",
-    "render_quotient",
-    "verify_coloring",
-    "verify_expansion",
-    "verify_odd_expansion",
-    "verify_partition",
-    "verify_quotient",
-]

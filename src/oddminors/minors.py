@@ -215,7 +215,14 @@ def find_expansion(
     (where every later class lies), or when too few vertices remain for
     the classes still to open.  Assigning i to k needs i ∈ R_k and leaves
     R_k as it is; only the reaches holding i are recomputed, once per
-    node.  The outcome matches plain enumeration.
+    node.  For t >= 3, deleting vertices of degree <= 1 and, for t >= 4,
+    replacing a degree-2 vertex by an edge joining its neighbours keeps
+    every K_t minor, so a subtree is also cut when fewer than t of the
+    vertices it may still use survive this peel (memoized per vertex set).
+    And classes take only 2-core vertices: an edge touching another vertex
+    is a bridge, which no third class adjacent to both ends can cross, so
+    such a vertex carries no cross edge and dropping it gives an earlier
+    valid map.  The outcome matches plain enumeration.
 
     The search visits at most max_nodes nodes; one more raises
     BudgetExceeded.  With t > n the answer is None at once; otherwise a
@@ -241,8 +248,14 @@ def find_odd_expansion(
     the lexicographically first that make those connectors monochromatic.
     The first map that admits a solution yields the certificate; a map
     admits one exactly when some choice of cross edges, one per pair, can
-    be made monochromatic by flips of these trees.  Budget and size limit
-    are those of find_expansion.
+    be made monochromatic by flips of these trees, a test run on bitmasks
+    of the classes' breadth-first layers before any certificate is built.
+    The peel and the 2-core cut apply too, except that a class whose least
+    vertex lies outside the 2-core may also hold that vertex's path into
+    it: its coloring is rooted there, and on a non-bipartite class another
+    root gives other colors.  A class rooted in the 2-core colors its
+    2-core vertices as without the rest, as shortest paths between them
+    stay in the 2-core.  Budget and size limit are those of find_expansion.
     """
     return _search(g, t, max_nodes, odd=True)
 
@@ -263,10 +276,54 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     for u, v in g.sorted_edges():
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    # suffix_mask[i]: the vertices >= i, which are still unassigned at i.
-    suffix_mask = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_mask[i] = suffix_mask[i + 1] | (1 << i)
+
+    def peel(mask: int, suppress: bool) -> int:
+        # What is left of g[mask] once vertices of degree <= 1 are deleted
+        # and, if suppress, each degree-2 vertex is replaced by an edge
+        # joining its two neighbours, until neither applies.
+        nbr = adj[:]
+        todo = [v for v in range(n) if mask >> v & 1]
+        while todo:
+            v = todo.pop()
+            near = nbr[v] & mask
+            degree = near.bit_count()
+            if not mask >> v & 1 or degree > 1 + suppress:
+                continue
+            mask ^= 1 << v
+            if degree == 2:
+                a = near & -near
+                nbr[a.bit_length() - 1] |= near ^ a
+                nbr[(near ^ a).bit_length() - 1] |= a
+            todo += [w for w in range(n) if near >> w & 1]
+        return mask
+
+    alive: dict[int, bool] = {}
+
+    def live(mask: int) -> bool:
+        # False when g[mask] has no K_t minor by the peel, so no valid map
+        # lies inside mask.  For t <= 2 the peel would drop K_1 and K_2.
+        if mask not in alive:
+            alive[mask] = t < 3 or peel(mask, t >= 4).bit_count() >= t
+        return alive[mask]
+
+    # For t >= 3 no cross edge of a valid map leaves the 2-core, so classes
+    # take 2-core vertices only, but an odd search may open one at a vertex
+    # v outside it, which then may take toward[v] too.
+    full = (1 << n) - 1
+    core = peel(full, False) if t >= 3 else full
+    # toward[v], for v outside the 2-core: the vertices outside it on v's
+    # path into the 2-core, which a class opened at v by an odd search may take.
+    toward = [0] * n
+    seen = layer = core
+    while layer:
+        layer = _spread(adj, layer) & ~seen
+        for w in range(n):
+            if layer >> w & 1:
+                up = adj[w] & seen  # w's one neighbour nearer the 2-core
+                toward[w] = toward[up.bit_length() - 1] | (up & ~core)
+        seen |= layer
+    # suffix_mask[i]: the vertices >= i that a class may still take.
+    suffix_mask = [core >> i << i for i in range(n + 1)]
 
     # Per open class k: its vertices, its reach R_k (the component of
     # g[C_k | suffix] holding C_k) and N(R_k), the union of the
@@ -275,25 +332,22 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     cmask = [0] * (t + 1)
     reach = [0] * (t + 1)
     rnbr = [0] * (t + 1)
+    components: dict[tuple[int, int], tuple[int, int]] = {}
 
     def component(start: int, allowed: int) -> tuple[int, int]:
         # The component of g[allowed] holding the single bit `start`, and
         # the union of its vertices' neighbourhoods.
-        reached = frontier = start
-        nbr = 0
-        while frontier:
-            nxt = 0
+        key = (start, allowed)
+        if key not in components:
+            reached = frontier = start
+            nbr = 0
             while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= adj[b.bit_length() - 1]
-            nbr |= nxt
-            frontier = nxt & allowed & ~reached
-            reached |= frontier
-        return reached, nbr
-
-    # The reach of a class opened at i: the component of i in g[suffix].
-    opening = [component(1 << i, suffix_mask[i]) for i in range(n)]
+                nxt = _spread(adj, frontier)
+                nbr |= nxt
+                frontier = nxt & allowed & ~reached
+                reached |= frontier
+            components[key] = reached, nbr
+        return components[key]
 
     def feasible(i: int, used: int, changed: list[int]) -> bool:
         # Called with vertices 0..i assigned; the suffix starts at i + 1.
@@ -315,7 +369,9 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
 
     nodes = 0
 
-    def search(i: int, used: int):
+    def search(i: int, used: int, mask: int):
+        # mask: the 2-core vertices not left unused.  The classes of every
+        # completion, cut to the 2-core, form a K_t model inside it.
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
@@ -323,6 +379,8 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         if i == n:
             # feasible() at i = n - 1 saw an empty suffix: every class is
             # connected, all t are open and every pair is joined.
+            if odd and not _flips_agree(adj, cmask[1:]):
+                return None
             return _certify(g, cmask[1:], odd)
         bit = 1 << i
         # i leaves the suffix, so only the reaches holding i can change; each
@@ -346,7 +404,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             vals = broken if len(broken) == 1 else ()
         else:
             vals = [0, *holders]
-            if used < t:
+            if used < t and (odd or core & bit):
                 vals.append(used + 1)
         for val in vals:
             new_used = used
@@ -354,7 +412,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             if val > used:
                 new_used = val
                 cmask[val] = bit
-                reach[val], rnbr[val] = opening[i]
+                reach[val], rnbr[val] = component(bit, suffix_mask[i] | toward[i] >> i << i)
                 changed = [*holders, val]
             elif val:
                 # R_val holds i, so it is also the reach of C_val + i.
@@ -362,8 +420,9 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
                 j = holders.index(val)
                 reach[val], rnbr[val] = kept[j]
                 changed = holders[:j] + holders[j + 1:]
-            if feasible(i, new_used, changed):
-                out = search(i + 1, new_used)
+            child = mask if val else mask & ~bit
+            if feasible(i, new_used, changed) and (val or live(child)):
+                out = search(i + 1, new_used, child)
                 if out is not None:
                     return out
             if val:
@@ -374,7 +433,74 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             reach[k], rnbr[k] = kr
         return None
 
-    return search(0, 0)
+    return search(0, 0, core) if live(core) else None
+
+
+def _spread(adj: list[int], bits: int) -> int:
+    """The union of the neighbourhoods adj[v] of the vertices v in bits."""
+    out = 0
+    while bits:
+        b = bits & -bits
+        bits ^= b
+        out |= adj[b.bit_length() - 1]
+    return out
+
+
+def _flip_solver(t: int):
+    """A parity union-find over t trees: find(s) gives s's root, the least
+    tree of its component, which stays unflipped, and flip[s] ^ flip[root];
+    join(a, b, x) adds flip[a] ^ flip[b] == x, False if that contradicts."""
+    root = list(range(t))
+    rel = [0] * t
+
+    def find(s: int) -> tuple[int, int]:
+        p = 0
+        while root[s] != s:
+            p ^= rel[s]
+            s = root[s]
+        return s, p
+
+    def join(a: int, b: int, x: int) -> bool:
+        ra, pa = find(a)
+        rb, pb = find(b)
+        x ^= pa ^ pb
+        if ra == rb:
+            return not x
+        root[max(ra, rb)] = min(ra, rb)
+        rel[max(ra, rb)] = x
+        return True
+
+    return find, join
+
+
+def _flips_agree(adj: list[int], class_masks: list[int]) -> bool:
+    """False exactly when _certify(g, class_masks, True) returns None.
+
+    Each class is split into the even and odd layers of a breadth-first
+    search from its least vertex, as _certify colors its tree; a pair whose
+    cross edges are all same-colored, or all differently colored, forces
+    a relative flip, and the forced flips must agree.
+    """
+    layers = []
+    for m in class_masks:
+        side, near, s = [m & -m, 0], [0, 0], 0
+        frontier = side[0]
+        while frontier:
+            nxt = _spread(adj, frontier)
+            near[s] |= nxt
+            frontier = nxt & m & ~(side[0] | side[1])
+            s ^= 1
+            side[s] |= frontier
+        layers.append((side, near))
+    join = _flip_solver(len(class_masks))[1]
+    for a, (_, (near_even, near_odd)) in enumerate(layers):
+        for b in range(a + 1, len(layers)):
+            even, odd = layers[b][0]
+            same = near_even & even or near_odd & odd
+            differ = near_even & odd or near_odd & even
+            if not (same and differ) and not join(a, b, not same):
+                return False
+    return True
 
 
 def _certify(g: Graph, class_masks: list[int], odd: bool):
@@ -402,31 +528,10 @@ def _certify(g: Graph, class_masks: list[int], odd: bool):
     # Canonical coloring per tree: the depth parity of the search that built
     # it.  Flipping a tree's colors is the only freedom left.  A cross edge
     # (u, v) of pair (a, b) is monochromatic exactly when flip[a] ^ flip[b]
-    # == [color(u) != color(v)], an XOR equation.  A parity union-find holds
-    # the equations taken so far; each root is the least tree of its
-    # component and stays unflipped.
+    # == [color(u) != color(v)], an XOR equation, held in a _flip_solver.
     canon = [_depth_parity(parent) for parent in parents]
     color = {v: c for col in canon for v, c in col.items()}
-    root = list(range(t))
-    rel = [0] * t  # flip[s] ^ flip[root[s]]
-
-    def find(s: int) -> tuple[int, int]:
-        p = 0
-        while root[s] != s:
-            p ^= rel[s]
-            s = root[s]
-        return s, p
-
-    def join(a: int, b: int, x: int) -> bool:
-        # Add flip[a] ^ flip[b] == x; False if it contradicts the others.
-        ra, pa = find(a)
-        rb, pb = find(b)
-        x ^= pa ^ pb
-        if ra == rb:
-            return not x
-        root[max(ra, rb)] = min(ra, rb)
-        rel[max(ra, rb)] = x
-        return True
+    find, join = _flip_solver(t)
 
     # A pair whose cross edges all ask for the same relative flip forces it.
     for (a, b), edges in cross.items():

@@ -660,7 +660,43 @@ class TestBench:
         # memory building the list.
         code, out, err = run(["bench", "--n", "3", "--p", "0.5", "--seeds", "1..1000000000000"])
         assert (code, out) == (2, "")
-        assert err == "error: bad bench grid: seed count 1000000000000 exceeds 10000000\n"
+        assert err == "error: bad bench grid: 1000000000000 rows exceed 1000000\n"
+
+    @pytest.mark.parametrize(
+        "n,p,seeds,rows",
+        [
+            ("3", "0.5", "1..10000000", 10**7),  # once ran for minutes
+            ("3,4", "0.1,0.2", "1..250001", 1000004),
+            ("3", "0.5", "-1.." + "9" * 30, 10**30 + 1),
+        ],
+    )
+    def test_grid_past_the_row_ceiling_rejected_before_a_graph(self, monkeypatch, n, p, seeds, rows):
+        def no_graph(*args):
+            raise AssertionError("bench built a graph")
+
+        monkeypatch.setattr(cli, "gnp", no_graph)
+        code, out, err = run(["bench", "--n", n, "--p", p, "--seeds", seeds])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad bench grid: {rows} rows exceed 1000000\n"
+
+    def test_grid_at_the_row_ceiling_is_built(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def first_graph(*args):
+            raise Built
+
+        monkeypatch.setattr(cli, "gnp", first_graph)
+        with pytest.raises(Built):
+            run(["bench", "--n", "3,4", "--p", "0.1,0.2", "--seeds", "1..250000"])
+
+    @pytest.mark.parametrize("seeds", ["1..2..3", "1..", "..2", "1,,2", "1,x", ""])
+    def test_seed_spec_names_its_forms(self, seeds):
+        code, out, err = run(["bench", "--n", "3", "--p", "0.5", "--seeds", seeds])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bad bench grid: --seeds must be LO..HI or a comma list of integers, got {seeds!r}\n"
+        )
 
     def test_empty_grid_rejected(self):
         code, _, err = run(["bench", "--n", "", "--p", "0.5", "--seeds", "1"])

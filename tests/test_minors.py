@@ -35,6 +35,7 @@ from oracles import (
     frozen_search,
     has_odd_expansion_naive,
     naive_find_branch_sets,
+    two_core,
 )
 
 BUDGET = FROZEN_MAX_ASSIGNMENTS
@@ -47,6 +48,25 @@ SEARCH_GRAPHS = [
 NON_LEAST_CONNECTOR_K4 = Graph(
     6, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)]
 )
+OCTAHEDRON = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2])
+
+
+def in_search_family(g, class_masks, odd):
+    """Whether the search visits this valid map at all.
+
+    For t >= 3 every class keeps to the 2-core, except that in an odd
+    search a class whose least vertex lies outside it may also hold that
+    vertex's way into it.
+    """
+    if len(class_masks) < 3:
+        return True
+    core, way = two_core(g)
+    for mask in class_masks:
+        cls = {v for v in range(g.n) if mask >> v & 1}
+        outside = cls - core
+        if outside and not (odd and outside <= way.get(min(cls), frozenset())):
+            return False
+    return True
 
 
 def recorder():
@@ -226,7 +246,7 @@ class TestFindExpansion:
         "finder,g,t",
         [
             (find_expansion, petersen(), 4),  # found
-            (find_expansion, cycle(7), 4),  # not found
+            (find_expansion, OCTAHEDRON, 5),  # not found
             (find_odd_expansion, petersen(), 4),  # found
             (find_odd_expansion, complete_bipartite(3, 3), 3),  # not found
         ],
@@ -237,6 +257,27 @@ class TestFindExpansion:
         assert finder(g, t, max_nodes=k) == answer
         with pytest.raises(BudgetExceeded, match=f"exceeded {k - 1} search nodes"):
             finder(g, t, max_nodes=k - 1)
+
+    def test_peel_bound_cuts_a_search_that_finds(self):
+        # A K4 whose search took 22,642 nodes before the peel bound.
+        g = gnp(11, 0.35, 254)
+        answer, k = count_calls(lambda: find_expansion(g, 4), minors)
+        assert verify_expansion(g, answer).passed and k <= 100
+
+    @pytest.mark.parametrize("name,g", small_corpus(8))
+    def test_not_found_below_k5_takes_no_node(self, name, g):
+        # Forests are the graphs without K3 minors, and the peel deletes
+        # each K4-minor-free graph whole.  The oracle is the plain product
+        # enumeration up to 6 vertices, and above that the frozen first
+        # search, where the product takes a second or more per graph.
+        for t in (3, 4):
+            answer, k = count_calls(lambda: find_expansion(g, t), minors)
+            if answer is None:
+                assert k == 0, (name, t)
+                if g.n <= 6:
+                    assert naive_find_branch_sets(g, t) is None, (name, t)
+                else:
+                    assert frozen_search(g, t, BUDGET, False, frozen_certify) is None, (name, t)
 
     @pytest.mark.parametrize("name,g", small_corpus(6))
     def test_agrees_with_naive_lex_first(self, name, g):
@@ -270,8 +311,9 @@ class TestSearchAgainstFrozen:
     """The pruned search against a frozen copy of the first one.
 
     With a certificate builder that accepts nothing, both searches run to
-    the end and reach every valid branch-set map: the sequences must be
-    equal, which makes every certificate equal whatever the builder.
+    the end.  The frozen one reaches every valid branch-set map; the pruned
+    one reaches those of in_search_family, in the same order, and each
+    earlier map of the frozen sequence stands for every map it drops.
     """
 
     @pytest.mark.parametrize("name,g", small_corpus(8) + SEARCH_GRAPHS)
@@ -282,14 +324,48 @@ class TestSearchAgainstFrozen:
             assert find_expansion(g, t) is None
             old, record_frozen = recorder()
             assert frozen_search(g, t, BUDGET, False, record_frozen) is None
-            assert new == old, (name, t)
+            assert new == [m for m in old if in_search_family(g, m, False)], (name, t)
+
+    @pytest.mark.parametrize("name,g", small_corpus(8) + SEARCH_GRAPHS)
+    def test_odd_search_certifies_only_the_maps_it_accepts(self, name, g, monkeypatch):
+        certify = minors._certify
+        for t in (3, 4, 5):
+            new, record = recorder()
+            monkeypatch.setattr(minors, "_certify", record)
+            assert find_odd_expansion(g, t) is None
+            old, record_frozen = recorder()
+            frozen_search(g, t, BUDGET, True, record_frozen)
+            accepted = [
+                m for m in old
+                if in_search_family(g, m, True) and certify(g, list(m), True) is not None
+            ]
+            assert new == accepted, (name, t)
 
     @pytest.mark.parametrize("name,g", small_corpus(8))
     def test_same_certificates(self, name, g):
-        for t in (2, 3, 4):
+        for t in (2, 3, 4, 5):
             assert find_expansion(g, t) == frozen_search(
                 g, t, BUDGET, False, minors._certify
             ), (name, t)
+            assert find_odd_expansion(g, t) == frozen_search(
+                g, t, BUDGET, True, minors._certify
+            ), (name, t)
+
+    def test_odd_class_rooted_outside_the_2_core(self):
+        # K4 on {3, 4, 5, 6} and the triangle {0, 1, 2}, with 0 joined to 3
+        # and 4 and 1 to 5 and 6: the odd search answers None at t = 5,
+        # though an odd K5 exists, because it colors each class from its
+        # least vertex only.  Shifted by one, with a pendant vertex 0 on
+        # vertex 3 (the old 2), the class {0, 1, 2, 3} is colored as from 3,
+        # and that coloring admits an odd K5 that the 2-core alone misses.
+        edges = [(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6), (0, 1), (0, 2),
+                 (1, 2), (0, 3), (0, 4), (1, 5), (1, 6)]
+        assert find_odd_expansion(Graph(7, edges), 5) is None
+        g = Graph(8, [(u + 1, v + 1) for u, v in edges] + [(0, 3)])
+        cert = find_odd_expansion(g, 5)
+        assert cert == frozen_search(g, 5, BUDGET, True, minors._certify)
+        assert 0 in cert.base.trees[0].vertices
+        assert verify_odd_expansion(g, cert).passed
 
     def test_same_guards(self):
         # Both refuse a graph over the size limit: 4^14 maps at t = 3.

@@ -1,8 +1,11 @@
 """The record contract every result type keeps: construction, equality,
-hashing, repr and immutability."""
+hashing, repr and immutability; and the package's public names."""
+
+from types import ModuleType
 
 import pytest
 
+import oddminors
 from oddminors import (
     BcpPartition,
     Coloring,
@@ -115,3 +118,29 @@ def test_verification_report_default():
     assert VerificationReport(()).render() == "PASS\n"
     with pytest.raises(TypeError):
         VerificationReport()
+
+
+PUBLIC_NAMES = {
+    "BcpPartition", "BudgetExceeded", "Coloring", "ContractViolation",
+    "ExpansionCertificate", "ExpansionTree", "Graph", "InvariantViolation",
+    "OddExpansionCertificate", "ParseError", "QuotientGraph", "ReductionReport",
+    "StructureError", "TwoSides", "VerificationReport", "WitnessTriple",
+    "build_quotient", "color_exact", "color_heuristic", "complete",
+    "complete_bipartite", "compose_coloring", "compute_partition", "cycle",
+    "find_expansion", "find_odd_expansion", "generate", "gnp", "lift_expansion",
+    "parse_certificate", "parse_coloring", "parse_graph", "parse_partition",
+    "parse_quotient", "petersen", "reduction_report", "render_certificate",
+    "render_coloring", "render_dimacs", "render_edge_list", "render_partition",
+    "render_quotient", "verify_coloring", "verify_expansion",
+    "verify_odd_expansion", "verify_partition", "verify_quotient",
+}
+
+
+def test_public_names():
+    # Submodules appear in dir() once anything imports them; they are not
+    # names the package itself exports.
+    public = {
+        name for name in dir(oddminors)
+        if not name.startswith("_") and not isinstance(getattr(oddminors, name), ModuleType)
+    }
+    assert public == PUBLIC_NAMES
