@@ -256,6 +256,12 @@ def find_odd_expansion(
     root gives other colors.  A class rooted in the 2-core colors its
     2-core vertices as without the rest, as shortest paths between them
     stay in the 2-core.  Budget and size limit are those of find_expansion.
+
+    None is not yet a proof that no odd K_t-expansion exists: only each
+    class's breadth-first tree is colored, and on a class that is not
+    bipartite other spanning trees give other colorings.  K4 on {3,4,5,6}
+    plus the triangle {0,1,2}, with 0 joined to 3 and 4 and 1 to 5 and 6,
+    holds an odd K5, yet the search answers None at t = 5.
     """
     return _search(g, t, max_nodes, odd=True)
 
@@ -325,13 +331,10 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     # suffix_mask[i]: the vertices >= i that a class may still take.
     suffix_mask = [core >> i << i for i in range(n + 1)]
 
-    # Per open class k: its vertices, its reach R_k (the component of
-    # g[C_k | suffix] holding C_k) and N(R_k), the union of the
-    # neighbourhoods of R_k's vertices.  Every completion of C_k is a
-    # connected set inside C_k | suffix, so it lies inside R_k.
-    cmask = [0] * (t + 1)
-    reach = [0] * (t + 1)
-    rnbr = [0] * (t + 1)
+    # Each open class is a triple (C_k, R_k, N(R_k)): its vertices, its
+    # reach R_k (the component of g[C_k | suffix] holding C_k) and the union
+    # of the neighbourhoods of R_k's vertices.  Every completion of C_k is
+    # a connected set inside C_k | suffix, so it lies inside R_k.
     components: dict[tuple[int, int], tuple[int, int]] = {}
 
     def component(start: int, allowed: int) -> tuple[int, int]:
@@ -349,27 +352,28 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             components[key] = reached, nbr
         return components[key]
 
-    def feasible(i: int, used: int, changed: list[int]) -> bool:
+    def feasible(i: int, classes: list[tuple[int, int, int]]) -> bool:
         # Called with vertices 0..i assigned; the suffix starts at i + 1.
-        # Pairs of unchanged reaches passed this test at the parent node.
+        used = len(classes)
         if t - used > n - i - 1:
             return False
         if used < t:
             # A class still to open lies in the suffix and must touch R_a.
             rest = suffix_mask[i + 1]
-            for a in range(1, used + 1):
-                if not rnbr[a] & rest:
+            for _, _, na in classes:
+                if not na & rest:
                     return False
-        for a in changed:
-            na = rnbr[a]
-            for b in range(1, used + 1):
-                if not na & reach[b] and b != a:
+        # An edge joins R_a to R_b exactly when N(R_a) meets R_b.
+        for a in range(used - 1):
+            na = classes[a][2]
+            for b in range(a + 1, used):
+                if not na & classes[b][1]:
                     return False
         return True
 
     nodes = 0
 
-    def search(i: int, used: int, mask: int):
+    def search(i: int, mask: int, classes: list[tuple[int, int, int]]):
         # mask: the 2-core vertices not left unused.  The classes of every
         # completion, cut to the 2-core, form a K_t model inside it.
         nonlocal nodes
@@ -379,61 +383,50 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         if i == n:
             # feasible() at i = n - 1 saw an empty suffix: every class is
             # connected, all t are open and every pair is joined.
-            if odd and not _flips_agree(adj, cmask[1:]):
+            masks = [c for c, _, _ in classes]
+            if odd and not _flips_agree(adj, masks):
                 return None
-            return _certify(g, cmask[1:], odd)
+            return _certify(g, masks, odd)
         bit = 1 << i
         # i leaves the suffix, so only the reaches holding i can change; each
         # is recomputed once here, whatever i is assigned to.
+        cut = classes[:]
         holders = []
-        kept = []
-        cuts = []
         broken = []
-        for k in range(1, used + 1):
-            if reach[k] & bit:
-                cut = component(cmask[k] & -cmask[k], reach[k] ^ bit)
-                if cmask[k] & ~cut[0]:
+        for k, (c, r, _) in enumerate(classes):
+            if r & bit:
+                reached, nbr = component(c & -c, r ^ bit)
+                cut[k] = c, reached, nbr
+                if c & ~reached:
                     broken.append(k)
                 holders.append(k)
-                kept.append((reach[k], rnbr[k]))
-                cuts.append(cut)
-                reach[k], rnbr[k] = cut
+        used = len(classes)
         if broken:
             # A class that falls apart without i can only continue by taking
             # i, and i can mend only one class.
-            vals = broken if len(broken) == 1 else ()
+            options = broken if len(broken) == 1 else ()
         else:
-            vals = [0, *holders]
+            # -1 leaves i unused, k < used adds it to class k, used opens a class.
+            options = [-1, *holders]
             if used < t and (odd or core & bit):
-                vals.append(used + 1)
-        for val in vals:
-            new_used = used
-            changed = holders
-            if val > used:
-                new_used = val
-                cmask[val] = bit
-                reach[val], rnbr[val] = component(bit, suffix_mask[i] | toward[i] >> i << i)
-                changed = [*holders, val]
-            elif val:
-                # R_val holds i, so it is also the reach of C_val + i.
-                cmask[val] |= bit
-                j = holders.index(val)
-                reach[val], rnbr[val] = kept[j]
-                changed = holders[:j] + holders[j + 1:]
-            child = mask if val else mask & ~bit
-            if feasible(i, new_used, changed) and (val or live(child)):
-                out = search(i + 1, new_used, child)
+                options.append(used)
+        for k in options:
+            if k < 0:
+                child = cut
+            elif k < used:
+                # R_k holds i, so it is also the reach of C_k + i.
+                c, r, nbr = classes[k]
+                child = cut[:]
+                child[k] = c | bit, r, nbr
+            else:
+                child = [*cut, (bit, *component(bit, suffix_mask[i] | toward[i] >> i << i))]
+            if feasible(i, child) and (k >= 0 or live(mask & ~bit)):
+                out = search(i + 1, mask if k >= 0 else mask & ~bit, child)
                 if out is not None:
                     return out
-            if val:
-                cmask[val] ^= bit
-                if val <= used:
-                    reach[val], rnbr[val] = cuts[j]
-        for k, kr in zip(holders, kept):
-            reach[k], rnbr[k] = kr
         return None
 
-    return search(0, 0, core) if live(core) else None
+    return search(0, core, []) if live(core) else None
 
 
 def _spread(adj: list[int], bits: int) -> int:

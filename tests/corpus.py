@@ -6,9 +6,26 @@ every claim is exercised on identical inputs.
 
 from __future__ import annotations
 
-from oddminors import Graph, complete, complete_bipartite, cycle, gnp, petersen
+import oddminors.minors as minors
+from oddminors import (
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    find_expansion,
+    find_odd_expansion,
+    gnp,
+    petersen,
+)
+from oracles import count_calls
 
 _PS = (0.1, 0.3, 0.5, 0.8)
+# Seeded G(n, p) with n <= 9 for the differential tests of the search.
+SEARCH_GRAPHS = [
+    (f"gnp({n},{p},seed={7000 + 10 * n + k})", gnp(n, p, 7000 + 10 * n + k))
+    for n in range(2, 10)
+    for k, p in enumerate((0.3, 0.5, 0.7))
+]
 
 
 def gnp_corpus() -> list[tuple[str, Graph]]:
@@ -39,6 +56,16 @@ def corpus() -> list[tuple[str, Graph]]:
 
 def small_corpus(max_n: int) -> list[tuple[str, Graph]]:
     return [(name, g) for name, g in corpus() if g.n <= max_n]
+
+
+def search_node_totals() -> tuple[int, int]:
+    """Nodes the expansion search visits, plain and odd, summed over
+    small_corpus(8) + SEARCH_GRAPHS at t = 3, 4, 5, counted by count_calls."""
+    graphs = [g for _, g in small_corpus(8) + SEARCH_GRAPHS]
+    return tuple(
+        sum(count_calls(lambda: finder(g, t), minors)[1] for g in graphs for t in (3, 4, 5))
+        for finder in (find_expansion, find_odd_expansion)
+    )
 
 
 def all_graphs_on_5() -> list[Graph]:

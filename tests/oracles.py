@@ -50,6 +50,26 @@ def brute_chromatic_number(g: Graph) -> int:
     raise AssertionError("n colors always suffice")
 
 
+def colorable(g: Graph, k: int) -> bool:
+    """Whether g has a proper k-coloring, by backtracking in id order; a
+    vertex takes at most one color more than those already in use."""
+    adj = _adj(g)
+    colors: list[int] = []
+
+    def extend(v: int, used: int) -> bool:
+        if v == g.n:
+            return True
+        for c in range(min(used + 1, k)):
+            if all(colors[u] != c for u in adj[v] if u < v):
+                colors.append(c)
+                if extend(v + 1, max(used, c + 1)):
+                    return True
+                colors.pop()
+        return False
+
+    return extend(0, 0)
+
+
 def brute_is_bipartite(g: Graph) -> bool:
     """Try all 2^n two-colorings."""
     edges = g.sorted_edges()
