@@ -10,6 +10,8 @@ check a certificate clause by clause and never trust the finder.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from ._record import Record, VerificationReport
 from .errors import (
     DEFAULT_MAX_NODES,
@@ -248,20 +250,29 @@ def find_odd_expansion(
     the lexicographically first that make those connectors monochromatic.
     The first map that admits a solution yields the certificate; a map
     admits one exactly when some choice of cross edges, one per pair, can
-    be made monochromatic by flips of these trees, a test run on bitmasks
-    of the classes' breadth-first layers before any certificate is built.
-    The peel and the 2-core cut apply too, except that a class whose least
-    vertex lies outside the 2-core may also hold that vertex's path into
-    it: its coloring is rooted there, and on a non-bipartite class another
-    root gives other colors.  A class rooted in the 2-core colors its
-    2-core vertices as without the rest, as shortest paths between them
-    stay in the 2-core.  Budget and size limit are those of find_expansion.
+    be made monochromatic by flips of these trees.  The peel and the 2-core
+    cut apply too, except that a class whose least vertex lies outside the
+    2-core may also hold that vertex's path into it: its coloring is rooted
+    there, and on a non-bipartite class another root gives other colors.
+    A class rooted in the 2-core colors its 2-core vertices as without the
+    rest, as shortest paths between them stay in the 2-core.  Budget and
+    size limit are those of find_expansion.
 
-    None is not yet a proof that no odd K_t-expansion exists: only each
-    class's breadth-first tree is colored, and on a class that is not
-    bipartite other spanning trees give other colorings.  K4 on {3,4,5,6}
-    plus the triangle {0,1,2}, with 0 joined to 3 and 4 and 1 to 5 and 6,
-    holds an odd K5, yet the search answers None at t = 5.
+    Parity cut: three trees of an odd model and their monochromatic
+    connectors close a cycle of an even number of bichromatic tree edges
+    and three monochromatic ones.  Deleting t - 3 vertices leaves three
+    trees whole, so a graph that some t - 3 deleted vertices make bipartite
+    holds no odd K_t.  Such cycles run through 2-core vertices of the
+    classes, so a subtree is cut, with no certificate lost, when deleting
+    some t - 3 of the 2-core vertices it may still use leaves the rest
+    bipartite (each deletion set tried once, memoized with the peel).  So
+    None given at entry is a proof that no odd K_t-expansion exists: the
+    peel, or a deleted set and a 2-coloring of the rest, is its evidence.
+    None that the search reaches is not yet one: only each class's
+    breadth-first tree is colored, and on a class that is not bipartite
+    other spanning trees give other colorings.  K4 on {3,4,5,6} plus the
+    triangle {0,1,2}, with 0 joined to 3 and 4 and 1 to 5 and 6, holds an
+    odd K5, yet the search answers None at t = 5.
     """
     return _search(g, t, max_nodes, odd=True)
 
@@ -308,8 +319,13 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     def live(mask: int) -> bool:
         # False when g[mask] has no K_t minor by the peel, so no valid map
         # lies inside mask.  For t <= 2 the peel would drop K_1 and K_2.
+        # An odd search also calls mask dead when some t - 3 of its vertices
+        # leave g[mask] bipartite once deleted (see find_odd_expansion).
         if mask not in alive:
-            alive[mask] = t < 3 or peel(mask, t >= 4).bit_count() >= t
+            alive[mask] = t < 3 or peel(mask, t >= 4).bit_count() >= t and not (odd and any(
+                _bipartite(adj, mask ^ sum(cut))
+                for cut in combinations([1 << v for v in range(n) if mask >> v & 1], t - 3)
+            ))
         return alive[mask]
 
     # For t >= 3 no cross edge of a valid map leaves the 2-core, so classes
@@ -383,10 +399,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         if i == n:
             # feasible() at i = n - 1 saw an empty suffix: every class is
             # connected, all t are open and every pair is joined.
-            masks = [c for c, _, _ in classes]
-            if odd and not _flips_agree(adj, masks):
-                return None
-            return _certify(g, masks, odd)
+            return _certify(g, [c for c, _, _ in classes], odd)
         bit = 1 << i
         # i leaves the suffix, so only the reaches holding i can change; each
         # is recomputed once here, whatever i is assigned to.
@@ -429,6 +442,20 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     return search(0, core, []) if live(core) else None
 
 
+def _bipartite(adj: list[int], mask: int) -> bool:
+    """Whether g[mask] has no odd cycle: no edge joins two vertices of one
+    breadth-first layer, searched from the least vertex of each component."""
+    while mask:
+        layer = mask & -mask
+        while layer:
+            mask &= ~layer
+            near = _spread(adj, layer)
+            if near & layer:
+                return False
+            layer = near & mask
+    return True
+
+
 def _spread(adj: list[int], bits: int) -> int:
     """The union of the neighbourhoods adj[v] of the vertices v in bits."""
     out = 0
@@ -464,36 +491,6 @@ def _flip_solver(t: int):
         return True
 
     return find, join
-
-
-def _flips_agree(adj: list[int], class_masks: list[int]) -> bool:
-    """False exactly when _certify(g, class_masks, True) returns None.
-
-    Each class is split into the even and odd layers of a breadth-first
-    search from its least vertex, as _certify colors its tree; a pair whose
-    cross edges are all same-colored, or all differently colored, forces
-    a relative flip, and the forced flips must agree.
-    """
-    layers = []
-    for m in class_masks:
-        side, near, s = [m & -m, 0], [0, 0], 0
-        frontier = side[0]
-        while frontier:
-            nxt = _spread(adj, frontier)
-            near[s] |= nxt
-            frontier = nxt & m & ~(side[0] | side[1])
-            s ^= 1
-            side[s] |= frontier
-        layers.append((side, near))
-    join = _flip_solver(len(class_masks))[1]
-    for a, (_, (near_even, near_odd)) in enumerate(layers):
-        for b in range(a + 1, len(layers)):
-            even, odd = layers[b][0]
-            same = near_even & even or near_odd & odd
-            differ = near_even & odd or near_odd & even
-            if not (same and differ) and not join(a, b, not same):
-                return False
-    return True
 
 
 def _certify(g: Graph, class_masks: list[int], odd: bool):

@@ -528,6 +528,12 @@ class TestBudgets:
         assert out == ""
         assert "error:" in err
 
+    def test_parity_cut_answers_before_the_first_node(self):
+        # K5,5 is bipartite, so the odd search has no node to count.
+        graph = run(["gen", "complete-bipartite", "5", "5"])[1]
+        argv = ["find-odd-minor", "-t", "3", "--max-nodes", "1"]
+        assert run(argv, stdin_text=graph) == (1, "NOT FOUND\n", "")
+
     def test_environment_sets_no_budget(self, monkeypatch):
         argvs = (["find-minor", "-t", "3"], ["color", "--mode", "exact"])
         for name in ("ODDMINORS_MAX_ASSIGNMENTS", "ODDMINORS_MAX_NODES"):

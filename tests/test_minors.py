@@ -1,5 +1,7 @@
 """Expansion finders (with their pruning) and the independent verifiers."""
 
+import random
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -46,6 +48,11 @@ NON_LEAST_CONNECTOR_K4 = Graph(
     6, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)]
 )
 OCTAHEDRON = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2])
+# Holds a K4 but no odd K4; no t - 3 = 1 deleted vertex makes it bipartite,
+# so the odd search has to run (62 nodes) to say so.
+PLAIN_BUT_NO_ODD_K4 = Graph(
+    7, [(0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)]
+)
 
 
 def in_search_family(g, class_masks, odd):
@@ -245,7 +252,7 @@ class TestFindExpansion:
             (find_expansion, petersen(), 4),  # found
             (find_expansion, OCTAHEDRON, 5),  # not found
             (find_odd_expansion, petersen(), 4),  # found
-            (find_odd_expansion, complete_bipartite(3, 3), 3),  # not found
+            (find_odd_expansion, PLAIN_BUT_NO_ODD_K4, 4),  # not found
         ],
     )
     def test_node_cap_counts_search_calls(self, finder, g, t):
@@ -264,7 +271,7 @@ class TestFindExpansion:
     def test_node_totals_on_the_search_corpus(self):
         """The search's work on a fixed set, pinned: a change to the pruning
         that moves either total restates both numbers here and in CHANGES.md."""
-        assert search_node_totals() == (3882, 20417)
+        assert search_node_totals() == (3882, 1294)
 
     @pytest.mark.parametrize("name,g", small_corpus(8))
     def test_not_found_below_k5_takes_no_node(self, name, g):
@@ -396,6 +403,9 @@ class TestSearchAgainstFrozen:
 
     @pytest.mark.parametrize("name,g", small_corpus(8) + SEARCH_GRAPHS)
     def test_odd_search_certifies_only_the_maps_it_accepts(self, name, g, monkeypatch):
+        # The odd search skips the subtrees that the parity cut proves hold
+        # no odd model, so it offers _certify an in-family subsequence of
+        # the frozen maps, dropping only maps that _certify rejects.
         certify = minors._certify
         for t in (3, 4, 5):
             new, record = recorder()
@@ -403,11 +413,13 @@ class TestSearchAgainstFrozen:
             assert find_odd_expansion(g, t) is None
             old, record_frozen = recorder()
             frozen_search(g, t, BUDGET, True, record_frozen)
-            accepted = [
-                m for m in old
-                if in_search_family(g, m, True) and certify(g, list(m), True) is not None
-            ]
-            assert new == accepted, (name, t)
+            family = [m for m in old if in_search_family(g, m, True)]
+            accepted = {m for m in family if certify(g, list(m), True) is not None}
+            rest = iter(family)
+            assert all(m in rest for m in new), (name, t)
+            today = [m for m in family if m in accepted]
+            assert [m for m in new if m in accepted] == today, (name, t)
+            assert accepted.isdisjoint(set(family) - set(new)), (name, t)
 
     @pytest.mark.parametrize("name,g", small_corpus(8))
     def test_same_certificates(self, name, g):
@@ -502,6 +514,62 @@ class TestFindOddExpansion:
         g = complete_bipartite(4, 4)
         assert find_expansion(g, 4) is not None
         assert find_odd_expansion(g, 4) is None
+
+    @pytest.mark.parametrize("a,b", [(5, 5), (4, 6)])
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_bipartite_graph_takes_no_node(self, a, b, t):
+        # A bipartite graph is its own witness: t - 3 deletions are not needed.
+        g = complete_bipartite(a, b)
+        assert count_calls(lambda: find_odd_expansion(g, t), minors) == (None, 0)
+
+    def test_one_apex_over_a_bipartite_graph_takes_no_node(self):
+        # K3,3 plus a vertex joined to all six: deleting t - 3 = 1 vertex,
+        # the apex, leaves it bipartite.  The plain search finds a K4.
+        g = Graph(7, [(u, 3 + v) for u in range(3) for v in range(3)] + [(v, 6) for v in range(6)])
+        assert find_expansion(g, 4) is not None
+        assert count_calls(lambda: find_odd_expansion(g, 4), minors) == (None, 0)
+
+    def test_parity_cut_agrees_with_spanning_tree_oracle(self):
+        """Whenever the parity cut answers at the root, no odd K_t exists.
+
+        Three trees of an odd K_t model and their three monochromatic
+        connectors close a cycle with an even number of bichromatic tree
+        edges and three monochromatic ones, so an odd cycle; deleting t - 3
+        vertices leaves three trees whole, so no graph that such a deletion
+        makes bipartite holds an odd K_t.  The cut fired at the root when
+        the plain search visits a node and the odd one none.  Checked on
+        every graph on 5 vertices, one per isomorphism class for the
+        oracle, and on bipartite graphs of 4-5 vertices with t - 3 apex
+        vertices joined to every other vertex.
+        """
+
+        def canonical(g):
+            return min(
+                tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.sorted_edges()))
+                for p in permutations(range(g.n))
+            )
+
+        checks = {}
+        for t in (3, 4, 5):
+            for g in all_graphs_on_5():
+                if (
+                    count_calls(lambda: find_expansion(g, t), minors)[1] > 0
+                    and count_calls(lambda: find_odd_expansion(g, t), minors)[1] == 0
+                ):
+                    checks.setdefault((t, canonical(g)), g)
+        rng = random.Random(29)
+        for t, size in ((3, 4), (3, 5), (4, 4), (4, 5), (5, 4)):
+            for _ in range(2):
+                side = rng.sample(range(size), size)  # even and odd are the sides
+                n = size + t - 3
+                g = Graph(n, [
+                    (u, v) for v in range(n) for u in range(v)
+                    if v >= size or (side[u] ^ side[v]) & 1 and rng.random() < 0.8
+                ])
+                assert count_calls(lambda: find_odd_expansion(g, t), minors) == (None, 0)
+                checks[t, canonical(g)] = g
+        for (t, _), g in checks.items():
+            assert not has_odd_expansion_naive(g, t), (g.sorted_edges(), t)
 
     @pytest.mark.parametrize("name,g", small_corpus(7))
     def test_odd_k3_iff_non_bipartite(self, name, g):
