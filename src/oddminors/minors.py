@@ -10,7 +10,7 @@ check a certificate clause by clause and never trust the finder.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from ._record import Record, VerificationReport
 from .errors import (
@@ -224,7 +224,8 @@ def find_expansion(
     And classes take only 2-core vertices: an edge touching another vertex
     is a bridge, which no third class adjacent to both ends can cross, so
     such a vertex carries no cross edge and dropping it gives an earlier
-    valid map.  The outcome matches plain enumeration.
+    valid map.  The outcome matches plain enumeration, so None is exact:
+    no K_t-expansion exists.  The same holds for find_odd_expansion.
 
     The search visits at most max_nodes nodes; one more raises
     BudgetExceeded.  With t > n the answer is None at once; otherwise a
@@ -238,25 +239,25 @@ def find_odd_expansion(
 ) -> OddExpansionCertificate | None:
     """Exhaustive odd K_t-expansion search over branch-set maps.
 
-    Runs the search of find_expansion.  For each valid branch-set map, each
-    class gets its breadth-first spanning tree and that tree's canonical
-    2-coloring, unique up to one flip per tree.  Flips come first: a cross
-    edge (u, v) of trees a and b is monochromatic exactly when
-    flip[a] ^ flip[b] equals [color(u) != color(v)], so a pair whose cross
-    edges all ask for the same relative flip forces it, and a pair that
-    offers both constrains nothing.  A parity union-find solves the forced
-    equations; then, pair by pair, each connector is the least cross edge
-    that stays consistent with the equations taken so far.  The flips are
-    the lexicographically first that make those connectors monochromatic.
-    The first map that admits a solution yields the certificate; a map
-    admits one exactly when some choice of cross edges, one per pair, can
-    be made monochromatic by flips of these trees.  The peel and the 2-core
-    cut apply too, except that a class whose least vertex lies outside the
-    2-core may also hold that vertex's path into it: its coloring is rooted
-    there, and on a non-bipartite class another root gives other colors.
-    A class rooted in the 2-core colors its 2-core vertices as without the
-    rest, as shortest paths between them stay in the 2-core.  Budget and
-    size limit are those of find_expansion.
+    Runs the search of find_expansion and decides each valid branch-set map
+    exactly.  A map admits an odd K_t-expansion exactly when some {1,2}-
+    coloring of its classes connects each class through its bichromatic
+    edges and some cross edge of every class pair is monochromatic; any
+    spanning tree of a class's bichromatic edges is then its tree.  Each
+    class's colorings are listed up to a flip, 1 on its least vertex: its
+    breadth-first depth parity, then, only if the class is not bipartite,
+    the rest in binary order.  Their combinations are tried in product
+    order.  For each, flips come first: a pair whose cross edges all ask
+    for the same relative flip forces it, and a pair that offers both
+    constrains nothing.  A parity union-find solves the forced equations;
+    then, pair by pair, each connector is the least cross edge that stays
+    consistent with the equations taken so far.  The first map and coloring
+    that admit a solution yield the certificate, each tree being the
+    breadth-first tree of its class's bichromatic edges.  The 2-core cut
+    holds too: a simple path between two 2-core vertices stays in the
+    2-core, so a class cut to it stays connected through the same
+    bichromatic edges, and the cut map is earlier.  Budget and size limit
+    are those of find_expansion.
 
     Parity cut: three trees of an odd model and their monochromatic
     connectors close a cycle of an even number of bichromatic tree edges
@@ -266,13 +267,8 @@ def find_odd_expansion(
     classes, so a subtree is cut, with no certificate lost, when deleting
     some t - 3 of the 2-core vertices it may still use leaves the rest
     bipartite (each deletion set tried once, memoized with the peel).  So
-    None given at entry is a proof that no odd K_t-expansion exists: the
-    peel, or a deleted set and a 2-coloring of the rest, is its evidence.
-    None that the search reaches is not yet one: only each class's
-    breadth-first tree is colored, and on a class that is not bipartite
-    other spanning trees give other colorings.  K4 on {3,4,5,6} plus the
-    triangle {0,1,2}, with 0 joined to 3 and 4 and 1 to 5 and 6, holds an
-    odd K5, yet the search answers None at t = 5.
+    None is exact; given at entry, it also carries evidence: the peel, or a
+    deleted set and a 2-coloring of the rest.
     """
     return _search(g, t, max_nodes, odd=True)
 
@@ -329,21 +325,9 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         return alive[mask]
 
     # For t >= 3 no cross edge of a valid map leaves the 2-core, so classes
-    # take 2-core vertices only, but an odd search may open one at a vertex
-    # v outside it, which then may take toward[v] too.
+    # take 2-core vertices only.
     full = (1 << n) - 1
     core = peel(full, False) if t >= 3 else full
-    # toward[v], for v outside the 2-core: the vertices outside it on v's
-    # path into the 2-core, which a class opened at v by an odd search may take.
-    toward = [0] * n
-    seen = layer = core
-    while layer:
-        layer = _spread(adj, layer) & ~seen
-        for w in range(n):
-            if layer >> w & 1:
-                up = adj[w] & seen  # w's one neighbour nearer the 2-core
-                toward[w] = toward[up.bit_length() - 1] | (up & ~core)
-        seen |= layer
     # suffix_mask[i]: the vertices >= i that a class may still take.
     suffix_mask = [core >> i << i for i in range(n + 1)]
 
@@ -390,8 +374,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     nodes = 0
 
     def search(i: int, mask: int, classes: list[tuple[int, int, int]]):
-        # mask: the 2-core vertices not left unused.  The classes of every
-        # completion, cut to the 2-core, form a K_t model inside it.
+        # mask: the 2-core vertices not left unused, which hold every completion.
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
@@ -421,7 +404,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         else:
             # -1 leaves i unused, k < used adds it to class k, used opens a class.
             options = [-1, *holders]
-            if used < t and (odd or core & bit):
+            if used < t and core & bit:
                 options.append(used)
         for k in options:
             if k < 0:
@@ -432,7 +415,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
                 child = cut[:]
                 child[k] = c | bit, r, nbr
             else:
-                child = [*cut, (bit, *component(bit, suffix_mask[i] | toward[i] >> i << i))]
+                child = [*cut, (bit, *component(bit, suffix_mask[i]))]
             if feasible(i, child) and (k >= 0 or live(mask & ~bit)):
                 out = search(i + 1, mask if k >= 0 else mask & ~bit, child)
                 if out is not None:
@@ -493,15 +476,28 @@ def _flip_solver(t: int):
     return find, join
 
 
+def _class_colorings(g: Graph, cls: frozenset[int]) -> list[dict[int, int]]:
+    """The {1,2}-colorings of cls, 1 on its least vertex, whose bichromatic
+    edges connect it: its breadth-first depth parity, then, only if cls is
+    not bipartite (a bipartite class has no other), the rest in binary order."""
+    low, *rest = sorted(cls)
+    out = [_depth_parity(_bfs(g.neighbors, low, cls))]
+    if any(out[0][u] == out[0][w] for u in cls for w in g.neighbors(u) if w in cls):
+        for bits in product((1, 2), repeat=len(rest)):
+            color = {low: 1, **dict(zip(rest, bits))}
+            if color != out[0] and len(_bfs(_bichromatic(g, color), low, cls)) == len(cls):
+                out.append(color)
+    return out
+
+
+def _bichromatic(g: Graph, color: dict[int, int]):
+    """Neighbours through the bichromatic edges among the colored vertices."""
+    return lambda u: [w for w in g.neighbors(u) if w in color and color[w] != color[u]]
+
+
 def _certify(g: Graph, class_masks: list[int], odd: bool):
     t = len(class_masks)
     classes = [frozenset(v for v in range(g.n) if m >> v & 1) for m in class_masks]
-    # Each class is connected, so its search reaches all of it.
-    parents = [_bfs(g.neighbors, min(cls), cls) for cls in classes]
-    trees = tuple(
-        ExpansionTree(cls, frozenset(_tree_edges(parent)))
-        for cls, parent in zip(classes, parents)
-    )
     # Every edge between the two trees of a pair, least first.
     cross = {
         (a, b): sorted(
@@ -513,36 +509,39 @@ def _certify(g: Graph, class_masks: list[int], odd: bool):
         for a in range(t)
         for b in range(a + 1, t)
     }
-    if not odd:
-        return ExpansionCertificate(trees, {pair: edges[0] for pair, edges in cross.items()})
-    # Canonical coloring per tree: the depth parity of the search that built
-    # it.  Flipping a tree's colors is the only freedom left.  A cross edge
-    # (u, v) of pair (a, b) is monochromatic exactly when flip[a] ^ flip[b]
-    # == [color(u) != color(v)], an XOR equation, held in a _flip_solver.
-    canon = [_depth_parity(parent) for parent in parents]
-    color = {v: c for col in canon for v, c in col.items()}
-    find, join = _flip_solver(t)
 
-    # A pair whose cross edges all ask for the same relative flip forces it.
-    for (a, b), edges in cross.items():
-        allowed = {color[u] != color[v] for u, v in edges}
-        if len(allowed) == 1 and not join(a, b, allowed.pop()):
-            return None
-    # Every other pair allows both relative flips, so whatever the pairs
-    # before it chose, it still has a cross edge that can be monochromatic:
-    # each pair in turn takes the least cross edge consistent with the rest.
-    connectors = {}
-    for (a, b), edges in cross.items():
-        connectors[(a, b)] = next(
-            (u, v) for u, v in edges if join(a, b, color[u] != color[v])
+    def trees(neighbors) -> tuple[ExpansionTree, ...]:
+        # Each class is connected through `neighbors`, so its search reaches all of it.
+        return tuple(
+            ExpansionTree(cls, frozenset(_tree_edges(_bfs(neighbors, min(cls), cls))))
+            for cls in classes
         )
-    flips = [find(s)[1] for s in range(t)]
-    parity = {
-        v: (canon[s][v] if not flips[s] else 3 - canon[s][v])
-        for s, cls in enumerate(classes)
-        for v in cls
-    }
-    return OddExpansionCertificate(ExpansionCertificate(trees, connectors), parity)
+
+    if not odd:
+        return ExpansionCertificate(trees(g.neighbors), {pair: edges[0] for pair, edges in cross.items()})
+    for colors in product(*(_class_colorings(g, cls) for cls in classes)):
+        color = {v: c for col in colors for v, c in col.items()}
+        # A cross edge (u, v) of pair (a, b) is monochromatic exactly when
+        # flip[a] ^ flip[b] == [color(u) != color(v)].  A pair whose cross
+        # edges all ask for the same relative flip forces it.
+        find, join = _flip_solver(t)
+        wants = ({color[u] != color[v] for u, v in edges} for edges in cross.values())
+        if not all(len(x) > 1 or join(a, b, x.pop()) for (a, b), x in zip(cross, wants)):
+            continue
+        # Every other pair allows both relative flips, so whatever the pairs
+        # before it chose, it still has a cross edge that can be monochromatic:
+        # each pair in turn takes the least cross edge consistent with the rest.
+        connectors = {
+            (a, b): next((u, v) for u, v in edges if join(a, b, color[u] != color[v]))
+            for (a, b), edges in cross.items()
+        }
+        flips = [find(s)[1] for s in range(t)]
+        parity = {
+            v: 3 - color[v] if flips[s] else color[v] for s, cls in enumerate(classes) for v in cls
+        }
+        base = ExpansionCertificate(trees(_bichromatic(g, color)), connectors)
+        return OddExpansionCertificate(base, parity)
+    return None
 
 
 def render_certificate(cert: ExpansionCertificate | OddExpansionCertificate) -> str:

@@ -223,35 +223,14 @@ def _odd_signable(g: Graph, classes: list[frozenset[int]]) -> bool:
     return False
 
 
-def two_core(g: Graph) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
-    """The 2-core of g and, for each vertex v outside it, v's way into it.
-
-    The 2-core is what is left once vertices of degree <= 1 are deleted,
-    round after round.  v's way is v plus the vertices outside the 2-core
-    on the path from v into it (just v when there is no such path).
-    """
+def two_core(g: Graph) -> frozenset[int]:
+    """The 2-core of g: what is left once vertices of degree <= 1 are
+    deleted, round after round."""
     adj = _adj(g)
     core = set(range(g.n))
     while low := {v for v in core if len(adj[v] & core) <= 1}:
         core -= low
-    # Outside the 2-core the graph is a forest with at most one edge into
-    # the 2-core per tree, so a search outward from it meets each outside
-    # vertex once.
-    parent: dict[int, int] = {}
-    queue = sorted(core)
-    for u in queue:
-        for w in sorted(adj[u]):
-            if w not in core and w not in parent:
-                parent[w] = u
-                queue.append(w)
-    way = {}
-    for v in range(g.n):
-        if v not in core:
-            path = [v]
-            while path[-1] in parent and parent[path[-1]] not in core:
-                path.append(parent[path[-1]])
-            way[v] = frozenset(path)
-    return frozenset(core), way
+    return frozenset(core)
 
 
 def count_calls(run: Callable[[], object], module, name: str = "search") -> tuple[object, int]:

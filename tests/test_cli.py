@@ -268,6 +268,18 @@ class TestPipelineCommands:
         code, out, _ = run(["verify", "--cert", str(cert)], stdin_text=graph)
         assert (code, out) == (0, "PASS\n")
 
+    def test_find_odd_minor_beyond_the_breadth_first_colorings(self, tmp_path):
+        # K4 on {3,4,5,6} and the triangle {0,1,2}, 0 joined to 3 and 4 and
+        # 1 to 5 and 6: its odd K5 needs a class {0,1,2} colored other than
+        # by breadth-first depth parity.
+        graph = "7\n3 4\n3 5\n3 6\n4 5\n4 6\n5 6\n0 1\n0 2\n1 2\n0 3\n0 4\n1 5\n1 6\n"
+        code, out, _ = run(["find-odd-minor", "-t", "5"], stdin_text=graph)
+        assert code == 0
+        cert = tmp_path / "cert.txt"
+        cert.write_text(out)
+        code, out, _ = run(["verify", "--cert", str(cert)], stdin_text=graph)
+        assert (code, out) == (0, "PASS\n")
+
     def test_lift_by_search(self):
         code, out, _ = run(["lift", "-t", "2"], stdin_text=C5)
         assert code == 0
