@@ -202,7 +202,7 @@ def parse_coloring(text: str) -> Coloring:
     header = None
     colors: list[int] = []
     with _Reader(text, "#", "expected 'palette k', got {raw!r}") as lines:
-        for lineno, line in lines:
+        for line in lines:
             fields = line.split()
             if header is None:
                 word, count = fields
@@ -213,7 +213,7 @@ def parse_coloring(text: str) -> Coloring:
                 continue
             v, c = (int(x) for x in fields)
             if v != len(colors):
-                raise ParseError(f"line {lineno}: expected vertex {len(colors)}, got {v}")
+                raise ParseError(f"expected vertex {len(colors)}, got {v}")
             colors.append(c)
     if header is None:
         raise ParseError("coloring is empty")

@@ -132,16 +132,16 @@ class TwoSides(Record):
 class _Reader:
     """One parse's pass over the lines of ``text``, and its error rule.
 
-    Iterating yields ``(lineno, line)``, stripped, for each line with more
-    than a comment, numbered as ``str.splitlines`` splits, so a form feed
-    ends a line too.  With ``comment`` ``"#"`` a ``#`` starts a comment that
-    runs to the end of its line; with ``"c"`` (DIMACS) so does a ``c`` that
-    starts a line.  Used as a context manager around that loop, it is the
-    one place where a malformed field becomes a ``ParseError``: a ValueError
-    or IndexError raised in the body (a failed ``int()``, a wrong unpack
-    arity) leaves as ``ParseError("line N: <detail>")``, with line N as
-    written put in for ``{raw!r}``.  A reader without a ``detail`` gives
-    the ValueError's own message instead.
+    Iterating yields each line with more than a comment, stripped, numbered
+    as ``str.splitlines`` splits, so a form feed ends a line too.  With
+    ``comment`` ``"#"`` a ``#`` starts a comment that runs to the end of its
+    line; with ``"c"`` (DIMACS) so does a ``c`` that starts a line.  Used as
+    a context manager around that loop, it alone numbers errors.  Raised in
+    the body while a line is current (none is before the first or after the
+    last), a ParseError leaves as ``line N: <message>``, and a ValueError or
+    IndexError (a failed ``int()``, a wrong unpack arity) as ``line N:
+    <detail>``, line N as written put in for ``{raw!r}``; a reader without a
+    ``detail`` gives the ValueError's own message.
     """
 
     __slots__ = ("text", "comment", "detail", "lineno")
@@ -150,21 +150,23 @@ class _Reader:
         self.text, self.comment, self.detail = text, comment, detail
         self.lineno = 0
 
-    def __iter__(self) -> Iterator[tuple[int, str]]:
+    def __iter__(self) -> Iterator[str]:
         hashes = self.comment == "#"
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
             line = (raw.split("#", 1)[0] if hashes else raw).strip()
             if line and (hashes or line[0] != "c"):
                 self.lineno = lineno
-                yield lineno, line
+                yield line
+        self.lineno = 0
 
     def __enter__(self) -> _Reader:
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
-        if kind is ValueError or kind is IndexError:
-            detail = self.detail.format(raw=self.text.splitlines()[self.lineno - 1]) if self.detail else str(exc)
-            raise ParseError(f"line {self.lineno}: {detail}") from None
+        if kind in (ParseError, ValueError, IndexError) and self.lineno:
+            if kind is not ParseError and self.detail:
+                exc = self.detail.format(raw=self.text.splitlines()[self.lineno - 1])
+            raise ParseError(f"line {self.lineno}: {exc}") from None
 
 
 def _parse_ids(field: str, parse: Callable[[str], object] = int) -> list:
@@ -184,14 +186,14 @@ def _side(ids: list[int]) -> frozenset[int]:
     return frozenset(ids) if ids else _NO_IDS
 
 
-def _distinct(items: list, repeated: str, lineno: int) -> frozenset:
-    """``items`` as a set; a repeat is ``ParseError("line N: <repeated>")``, the item put in for ``{}``."""
+def _distinct(items: list, repeated: str) -> frozenset:
+    """``items`` as a set; a repeat is ``ParseError(repeated)``, the item put in for ``{}``."""
     out = _side(items)
     if len(out) < len(items):
         seen = set()
         for x in items:
             if x in seen:
-                raise ParseError(f"line {lineno}: {repeated.format(x)}")
+                raise ParseError(repeated.format(x))
             seen.add(x)
     return out
 
@@ -203,33 +205,8 @@ def parse_edge_list(text: str) -> Graph:
     are skipped.  Edges stream into ``Graph`` as they are read.
     """
     with _Reader(text, "#") as lines:
-        items = _edge_list_items(lines)
+        items = _graph_items(lines)
         return Graph(next(items), items)
-
-
-def _edge_list_items(lines: Iterable[tuple[int, str]]) -> Iterator:
-    """The vertex count, then each validated edge, of edge-list lines."""
-    n: int | None = None
-    for lineno, line in lines:
-        parts = line.split()
-        if n is None:
-            if len(parts) != 1:
-                raise ParseError(f"line {lineno}: expected vertex count, got {line!r}")
-            n = _vertex_count(parts[0], lineno)
-            ids = list(range(n))  # one int object per id, shared by all its edges
-            yield n
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
-        u = _int(parts[0])
-        v = _int(parts[1])
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"line {lineno}: vertex id out of range for n={n}")
-        yield ids[u], ids[v]
-    if n is None:
-        raise ParseError("line 1: missing vertex count")
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -238,39 +215,53 @@ def parse_dimacs(text: str) -> Graph:
     Edges stream into ``Graph`` as they are read.
     """
     with _Reader(text, "c") as lines:
-        items = _dimacs_items(lines)
+        items = _graph_items(lines, dimacs=True)
         return Graph(next(items), items)
 
 
-def _dimacs_items(lines: Iterable[tuple[int, str]]) -> Iterator:
-    """The vertex count, then each validated 0-based edge, of DIMACS lines."""
-    n: int | None = None
-    for lineno, line in lines:
+def _graph_items(lines: Iterable[str], dimacs: bool = False) -> Iterator:
+    """The vertex count, then each validated 0-based edge, of edge-list or DIMACS lines.
+
+    Both formats give the vertex count on their first line and one edge on
+    each line after it: ``n`` then ``u v``, or ``p edge n m`` then ``e u v``
+    with ids from 1.  Ids are checked, and quoted, as written.
+    """
+    lines = iter(lines)
+    line = next(lines, None)
+    if line is None:
+        raise ParseError("missing 'p edge n m' header" if dimacs else "line 1: missing vertex count")
+    parts = line.split()
+    if dimacs and (len(parts) != 4 or parts[:2] != ["p", "edge"]):
+        raise _misfit(line, "p", "'p edge n m'")
+    if not dimacs and len(parts) != 1:
+        raise _misfit(line, "", "vertex count")
+    n = _int(parts[2] if dimacs else parts[0])
+    if n < 0:
+        raise ParseError("vertex count must be non-negative")
+    yield check_order(n)
+    lo = int(dimacs)  # the least vertex id as written, and where u stands on an edge line
+    # ids[u] is written id u counted from 0: one int object per id, shared by all its edges.
+    ids, hi, width = list(range(-lo, n)), n + lo, 2 + lo
+    for line in lines:
         parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError(f"line {lineno}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError(f"line {lineno}: expected 'p edge n m', got {line!r}")
-            n = _vertex_count(parts[2], lineno)
-            ids = list(range(n))  # one int object per id, shared by all its edges
-            yield n
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError(f"line {lineno}: edge before 'p edge' header")
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'e u v', got {line!r}")
-            u = _int(parts[1]) - 1
-            v = _int(parts[2]) - 1
-            if u == v:
-                raise ParseError(f"line {lineno}: self-loop at vertex {u + 1}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"line {lineno}: vertex id out of range for n={n}")
-            yield ids[u], ids[v]
-        else:
-            raise ParseError(f"line {lineno}: unrecognized line {line!r}")
-    if n is None:
-        raise ParseError("missing 'p edge n m' header")
+        if len(parts) != width or lo and parts[0] != "e":
+            raise _misfit(line, "e" if dimacs else "", "'e u v'" if dimacs else "'u v'")
+        u, v = _int(parts[lo]), _int(parts[lo + 1])
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}")
+        if not (lo <= u < hi and lo <= v < hi):
+            raise ParseError(f"vertex id out of range for n={n}")
+        yield ids[u], ids[v]
+
+
+def _misfit(line: str, word: str, form: str) -> ParseError:
+    """The error for a graph line not of the ``form`` its place asks for; a
+    DIMACS line whose first word is not ``word`` stands out of place."""
+    first = line.split()[0] if word else ""
+    if first == word:
+        return ParseError(f"expected {form}, got {line!r}")
+    wrong = {"p": "duplicate problem line", "e": "edge before 'p edge' header"}
+    return ParseError(wrong.get(first, f"unrecognized line {line!r}"))
 
 
 def parse_graph(text: str) -> Graph:
@@ -413,13 +404,6 @@ def check_pairs(pairs: int) -> None:
     """A ValueError naming the ceiling when ``pairs`` exceeds ``MAX_PAIRS``; callers as ``check_order``."""
     if pairs > MAX_PAIRS:
         raise ValueError(f"vertex pair count {pairs} exceeds {MAX_PAIRS}")
-
-
-def _vertex_count(token: str, lineno: int) -> int:
-    n = _int(token)
-    if n < 0:
-        raise ParseError(f"line {lineno}: vertex count must be non-negative")
-    return check_order(n)
 
 
 def _int(token: str) -> int:

@@ -112,15 +112,17 @@ def reduction_report(g: Graph, t: int, *, max_nodes: int = DEFAULT_MAX_NODES) ->
     """Run partition → quotient → search, then lift or color.
 
     A quotient K_t-expansion lifts to a verified odd K_t-expansion of g;
-    otherwise the quotient is exactly colored and the composed coloring
-    exhibits the factor-two bound.  max_nodes bounds the search and the
-    coloring each; budget overruns propagate as errors.
+    otherwise the quotient is exactly colored, with at most t - 1 colors for
+    t <= 6 (else InvariantViolation), and the composed coloring exhibits the
+    factor-two bound.  max_nodes bounds the search and the coloring each.
     """
     q = build_quotient(g, compute_partition(g))
     cert_h = find_expansion(q.h, t, max_nodes=max_nodes)
     if cert_h is not None:
         return ReductionReport(g, t, q, lift_expansion(g, q, cert_h), None, None)
     c_h = color_exact(q.h, max_nodes=max_nodes)
+    if t <= 6 and c_h.palette > t - 1:  # Hadwiger's conjecture holds for t <= 6
+        raise InvariantViolation(f"chi(quotient) = {c_h.palette} > t - 1 with no K{t}-expansion found")
     composed = compose_coloring(q, c_h)
     if not verify_coloring(g, composed).passed:
         raise InvariantViolation("composed coloring is not proper")

@@ -256,8 +256,8 @@ def find_odd_expansion(
     breadth-first tree of its class's bichromatic edges.  The 2-core cut
     holds too: a simple path between two 2-core vertices stays in the
     2-core, so a class cut to it stays connected through the same
-    bichromatic edges, and the cut map is earlier.  Budget and size limit
-    are those of find_expansion.
+    bichromatic edges, and the cut map is earlier.  The size limit is
+    find_expansion's; each class coloring and combination tried is a node.
 
     Parity cut: three trees of an odd model and their monochromatic
     connectors close a cycle of an even number of bichromatic tree edges
@@ -372,17 +372,22 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         return True
 
     nodes = 0
+    colorings: dict[int, list[dict[int, int]]] = {}  # each class's colorings by mask, built once per search
 
-    def search(i: int, mask: int, classes: list[tuple[int, int, int]]):
-        # mask: the 2-core vertices not left unused, which hold every completion.
+    def spend() -> None:
+        # One node: a search call, or a class coloring or combination of them that an odd leaf tries.
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded(f"expansion search exceeded {max_nodes} search nodes")
+
+    def search(i: int, mask: int, classes: list[tuple[int, int, int]]):
+        # mask: the 2-core vertices not left unused, which hold every completion.
+        spend()
         if i == n:
             # feasible() at i = n - 1 saw an empty suffix: every class is
             # connected, all t are open and every pair is joined.
-            return _certify(g, [c for c, _, _ in classes], odd)
+            return _certify(g, [c for c, _, _ in classes], odd, spend, colorings)
         bit = 1 << i
         # i leaves the suffix, so only the reaches holding i can change; each
         # is recomputed once here, whatever i is assigned to.
@@ -476,14 +481,17 @@ def _flip_solver(t: int):
     return find, join
 
 
-def _class_colorings(g: Graph, cls: frozenset[int]) -> list[dict[int, int]]:
+def _class_colorings(g: Graph, cls: frozenset[int], spend) -> list[dict[int, int]]:
     """The {1,2}-colorings of cls, 1 on its least vertex, whose bichromatic
     edges connect it: its breadth-first depth parity, then, only if cls is
-    not bipartite (a bipartite class has no other), the rest in binary order."""
+    not bipartite (a bipartite class has no other), the rest in binary order;
+    each coloring tried calls ``spend()`` first."""
     low, *rest = sorted(cls)
+    spend()
     out = [_depth_parity(_bfs(g.neighbors, low, cls))]
     if any(out[0][u] == out[0][w] for u in cls for w in g.neighbors(u) if w in cls):
         for bits in product((1, 2), repeat=len(rest)):
+            spend()
             color = {low: 1, **dict(zip(rest, bits))}
             if color != out[0] and len(_bfs(_bichromatic(g, color), low, cls)) == len(cls):
                 out.append(color)
@@ -495,7 +503,7 @@ def _bichromatic(g: Graph, color: dict[int, int]):
     return lambda u: [w for w in g.neighbors(u) if w in color and color[w] != color[u]]
 
 
-def _certify(g: Graph, class_masks: list[int], odd: bool):
+def _certify(g: Graph, class_masks: list[int], odd: bool, spend=lambda: None, colorings=None):
     t = len(class_masks)
     classes = [frozenset(v for v in range(g.n) if m >> v & 1) for m in class_masks]
     # Every edge between the two trees of a pair, least first.
@@ -519,7 +527,12 @@ def _certify(g: Graph, class_masks: list[int], odd: bool):
 
     if not odd:
         return ExpansionCertificate(trees(g.neighbors), {pair: edges[0] for pair, edges in cross.items()})
-    for colors in product(*(_class_colorings(g, cls) for cls in classes)):
+    colorings = {} if colorings is None else colorings  # a search's lists so far, by class mask
+    for m, cls in zip(class_masks, classes):
+        if m not in colorings:
+            colorings[m] = _class_colorings(g, cls, spend)
+    for colors in product(*(colorings[m] for m in class_masks)):
+        spend()
         color = {v: c for col in colors for v, c in col.items()}
         # A cross edge (u, v) of pair (a, b) is monochromatic exactly when
         # flip[a] ^ flip[b] == [color(u) != color(v)].  A pair whose cross
@@ -574,7 +587,7 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
     expected = None  # number of trees, once the header is seen
     rank = 1  # last line's kind (1 T, 2 conn, 3 parity); conn and parity need all trees
     with _Reader(text, "#", "cannot parse certificate line {raw!r}") as lines:
-        for lineno, line in lines:
+        for line in lines:
             if expected is None:
                 head, count = line.split()
                 expected = int(count)
@@ -588,27 +601,27 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
             if kind == 1:
                 head, rest = line.split(":", 1)
                 if int(head.split()[1]) != len(trees) + 1:
-                    raise ParseError(f"line {lineno}: tree labels must be 1,2,... in order")
+                    raise ParseError("tree labels must be 1,2,... in order")
                 vpart, _, epart = rest.partition("/")
-                verts = _distinct(_parse_ids(vpart.strip()), "vertex {} repeated", lineno)
-                edges = _distinct(_parse_ids(epart.strip(), _tree_edge), "edge {0[0]}-{0[1]} repeated", lineno)
+                verts = _distinct(_parse_ids(vpart.strip()), "vertex {} repeated")
+                edges = _distinct(_parse_ids(epart.strip(), _tree_edge), "edge {0[0]}-{0[1]} repeated")
                 trees.append(ExpansionTree(verts, edges))
             elif kind == 2:
                 pair_part, edge_part = line[len("conn "):].split(":")
                 a, b = (int(x) for x in pair_part.split())
                 u, v = (int(x) for x in edge_part.split())
                 if not 1 <= a < b:
-                    raise ParseError(f"line {lineno}: connector labels must satisfy s < s'")
+                    raise ParseError("connector labels must satisfy s < s'")
                 if (a - 1, b - 1) in connectors:
-                    raise ParseError(f"line {lineno}: duplicate connector for pair ({a}, {b})")
+                    raise ParseError(f"duplicate connector for pair ({a}, {b})")
                 connectors[(a - 1, b - 1)] = (u, v) if u < v else (v, u)
             else:
                 vpart, cpart = line[len("parity "):].split(":")
                 v, c = int(vpart), int(cpart)
                 if c not in (1, 2):
-                    raise ParseError(f"line {lineno}: parity color must be 1 or 2")
+                    raise ParseError("parity color must be 1 or 2")
                 if v in parity:
-                    raise ParseError(f"line {lineno}: duplicate parity line for vertex {v}")
+                    raise ParseError(f"duplicate parity line for vertex {v}")
                 parity[v] = c
     if expected is None:
         raise ParseError("certificate is empty")

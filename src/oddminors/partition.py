@@ -234,7 +234,7 @@ def parse_partition(text: str) -> BcpPartition:
     field; one id on both sides of a part parses, and fails verification."""
     parts: list[TwoSides] = []
     with _Reader(text, "#", "expected 'i: A=<ids> B=<ids>'") as lines:
-        for lineno, line in lines:
+        for line in lines:
             head, rest = line.split(":", 1)
             idx = int(head)
             a_field, b_field = rest.split()
@@ -243,8 +243,8 @@ def parse_partition(text: str) -> BcpPartition:
             ids_a = _parse_ids(a_field[2:])
             ids_b = _parse_ids(b_field[2:])
             if idx != len(parts):
-                raise ParseError(f"line {lineno}: part index {idx} out of order")
-            side_a = _distinct(ids_a, "vertex {} repeated on side A", lineno)
-            side_b = _distinct(ids_b, "vertex {} repeated on side B", lineno)
+                raise ParseError(f"part index {idx} out of order")
+            side_a = _distinct(ids_a, "vertex {} repeated on side A")
+            side_b = _distinct(ids_b, "vertex {} repeated on side B")
             parts.append(TwoSides(side_a, side_b))
     return BcpPartition(tuple(parts))

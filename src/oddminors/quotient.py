@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ._record import Record, VerificationReport
 from .errors import ParseError, StructureError
-from .graph import Graph, _edge_list_items, _Reader, render_edge_list
+from .graph import Graph, _graph_items, _Reader, render_edge_list
 from .partition import BcpPartition, _check_partition
 
 
@@ -98,19 +98,19 @@ def parse_quotient(text: str) -> tuple[Graph, dict[tuple[int, int], WitnessTripl
     """
     witnesses: dict[tuple[int, int], WitnessTriple] = {}
     with _Reader(text, "#", "cannot parse witness {raw!r}") as lines:
-        for lineno, line in lines:
+        for line in lines:
             if not line.startswith("w "):
                 if witnesses:
-                    raise ParseError(f"line {lineno}: edge line after witness lines")
+                    raise ParseError("edge line after witness lines")
                 continue
             pair_part, triple_part = line[2:].split(":")
             i, j = (int(x) for x in pair_part.split())
             u1, u2, v = (int(x) for x in triple_part.split())
             if (i, j) in witnesses:
-                raise ParseError(f"line {lineno}: duplicate witness for edge ({i}, {j})")
+                raise ParseError(f"duplicate witness for edge ({i}, {j})")
             witnesses[(i, j)] = WitnessTriple(u1, u2, v)
     with _Reader(text, "#") as lines:
-        items = _edge_list_items(item for item in lines if not item[1].startswith("w "))
+        items = _graph_items(line for line in lines if not line.startswith("w "))
         h = Graph(next(items), items)
     edges = h.sorted_edges()
     missing = [e for e in edges if e not in witnesses]

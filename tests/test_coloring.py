@@ -174,3 +174,19 @@ class TestSerialization:
             parse_coloring("palette 2\n0 0\n2 1\n")  # skipped vertex 1
         with pytest.raises(ParseError):
             parse_coloring("palette 3\n0 0\n1 1\n")  # header lies
+
+    # Each message exactly; an error about the whole text has no line number.
+    PARSE_ERRORS = [
+        ("palette 1\n# c\n0 0\n2 0\n", "line 4: expected vertex 1, got 2"),
+        ("palette 1\n\n0 x\n", "line 3: cannot parse color line '0 x'"),
+        ("colors 2\n0 0\n", "line 1: expected 'palette k', got 'colors 2'"),
+        ("palette 2 3\n", "line 1: expected 'palette k', got 'palette 2 3'"),
+        ("# only\n", "coloring is empty"),
+        ("palette 3\n0 0\n1 1\n", "header claims palette 3, lines use 2"),
+    ]
+
+    @pytest.mark.parametrize("text,message", PARSE_ERRORS)
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_coloring(text)
+        assert str(exc.value) == message

@@ -1,5 +1,7 @@
 """Lifting quotient expansions back to odd expansions of the base graph."""
 
+from collections import Counter
+
 import pytest
 
 import oddminors.lifting as lifting
@@ -7,6 +9,7 @@ from corpus import small_corpus
 from oddminors import (
     BcpPartition,
     BudgetExceeded,
+    Coloring,
     ContractViolation,
     ExpansionCertificate,
     ExpansionTree,
@@ -22,6 +25,8 @@ from oddminors import (
     compute_partition,
     cycle,
     find_expansion,
+    find_odd_expansion,
+    gnp,
     lift_expansion,
     reduction_report,
     render_edge_list,
@@ -153,6 +158,22 @@ class TestLiftExpansion:
             cert = lift_expansion(g, q, cert_h)
             assert verify_odd_expansion(g, cert).passed, (name, t)
 
+    def test_lift_soundness_on_seeded_graphs(self):
+        # Whenever the quotient holds a K_t-expansion, g holds an odd one: the
+        # odd search finds one too, and the lift of the quotient's verifies.
+        lifted = Counter()
+        for i in range(2000):
+            n, p = 7 + i % 4, 0.25 + 0.35 * (i * 37 % 100) / 99
+            g = gnp(n, p, 5000 + i)
+            q = pipeline(g)
+            for t in (3, 4, 5):
+                cert_h = find_expansion(q.h, t)
+                if cert_h is not None:
+                    assert find_odd_expansion(g, t) is not None, (n, p, i, t)
+                    assert verify_odd_expansion(g, lift_expansion(g, q, cert_h)).passed, (n, p, i, t)
+                    lifted[t] += 1
+        assert lifted[3] >= 200 and lifted[4] >= 1, lifted
+
     @pytest.mark.parametrize("name,g", small_corpus(8))
     def test_trees_absorb_whole_parts(self, name, g):
         # A lifted tree contains either all of a part or none of it, and
@@ -216,6 +237,16 @@ class TestReductionReport:
         assert rep.certificate is None
         assert rep.composed.palette == 0
         assert "partition: 0 parts" in rep.render()
+
+    def test_quotient_palette_above_t_minus_1_raises(self, monkeypatch):
+        # Two disjoint edges contract to two quotient vertices and no edge, so
+        # no K2 is found; a colorer that gives them two colors contradicts
+        # the proven case t = 2 of Hadwiger's conjecture.
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert reduction_report(g, 2).chi_h == 1
+        monkeypatch.setattr(lifting, "color_exact", lambda h, max_nodes: Coloring(tuple(range(h.n))))
+        with pytest.raises(InvariantViolation, match=r"chi\(quotient\) = 2 > t - 1"):
+            reduction_report(g, 2)
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):

@@ -77,10 +77,11 @@ def in_search_family(g, class_masks):
 
 
 def recorder():
-    """A stand-in certificate builder that logs each leaf's class masks."""
+    """A stand-in certificate builder that logs each leaf's class masks
+    (and ignores the search's budget and coloring lists)."""
     leaves = []
 
-    def record(g, class_masks, odd):
+    def record(g, class_masks, odd, *budget):
         leaves.append(tuple(class_masks))
         return None
 
@@ -250,20 +251,41 @@ class TestFindExpansion:
         assert find_expansion(cycle(9), 3) is not None
 
     @pytest.mark.parametrize(
-        "finder,g,t",
+        "finder,g,t,searches,nodes",
         [
-            (find_expansion, petersen(), 4),  # found
-            (find_expansion, OCTAHEDRON, 5),  # not found
-            (find_odd_expansion, petersen(), 4),  # found
-            (find_odd_expansion, PLAIN_BUT_NO_ODD_K4, 4),  # not found
+            (find_expansion, petersen(), 4, 25, 25),  # found
+            (find_expansion, OCTAHEDRON, 5, 31, 31),  # not found
+            (find_odd_expansion, petersen(), 4, 25, 30),  # found
+            (find_odd_expansion, PLAIN_BUT_NO_ODD_K4, 4, 62, 102),  # not found
         ],
     )
-    def test_node_cap_counts_search_calls(self, finder, g, t):
-        answer, k = count_calls(lambda: finder(g, t), minors)
-        assert k > 1
+    def test_node_cap_counts_search_calls(self, finder, g, t, searches, nodes):
+        # A node is a search call; the odd search's leaves also spend one per
+        # class coloring they try and one per combination of them.
+        assert count_calls(lambda: finder(g, t), minors)[1] == searches
+        answer, k = count_calls(lambda: finder(g, t), minors, "spend")
+        assert k == nodes
         assert finder(g, t, max_nodes=k) == answer
         with pytest.raises(BudgetExceeded, match=f"exceeded {k - 1} search nodes"):
             finder(g, t, max_nodes=k - 1)
+
+    def test_odd_leaf_colorings_count_against_the_cap(self):
+        # The odd K5 of K4_AND_TRIANGLE takes 8 search calls, and its leaves
+        # try 11 class colorings and combinations: 8 nodes do not suffice.
+        answer, k = count_calls(lambda: find_odd_expansion(K4_AND_TRIANGLE, 5), minors)
+        assert k == 8 and verify_odd_expansion(K4_AND_TRIANGLE, answer).passed
+        with pytest.raises(BudgetExceeded, match="exceeded 8 search nodes"):
+            find_odd_expansion(K4_AND_TRIANGLE, 5, max_nodes=8)
+        assert find_odd_expansion(K4_AND_TRIANGLE, 5, max_nodes=19) == answer
+        with pytest.raises(BudgetExceeded, match="exceeded 18 search nodes"):
+            find_odd_expansion(K4_AND_TRIANGLE, 5, max_nodes=18)
+
+    def test_class_colorings_built_once_per_class(self):
+        # The leaves of this search hold 1,455 classes, 81 of them distinct;
+        # each distinct class has its colorings listed once.
+        g = gnp(10, 0.6, 1287)
+        answer, calls = count_calls(lambda: find_odd_expansion(g, 5), minors, "_class_colorings")
+        assert calls == 81 and verify_odd_expansion(g, answer).passed
 
     def test_peel_bound_cuts_a_search_that_finds(self):
         # A K4 whose search took 22,642 nodes before the peel bound.

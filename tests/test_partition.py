@@ -446,6 +446,21 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_partition("0: A=x B=\n")
 
+    # Each message exactly, its line number counted over comment and blank lines.
+    PARSE_ERRORS = [
+        ("0: A=0 B=\n# gap\n\n2: A=1 B=\n", "line 4: part index 2 out of order"),
+        ("0: A=1 B=2 C=3\n", "line 1: expected 'i: A=<ids> B=<ids>'"),
+        ("0 A=0 B=1\n", "line 1: expected 'i: A=<ids> B=<ids>'"),
+        ("0: B=0 A=1\n", "line 1: expected 'i: A=<ids> B=<ids>'"),
+        ("0: A=0,,1 B=\n", "line 1: expected 'i: A=<ids> B=<ids>'"),
+    ]
+
+    @pytest.mark.parametrize("text,message", PARSE_ERRORS)
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_partition(text)
+        assert str(exc.value) == message
+
 
 class TestPartOf:
     def test_maps_every_vertex(self):

@@ -165,3 +165,22 @@ class TestSerialization:
             parse_quotient("2\nw 0 1 : 0 3 4\n")  # witness without edge
         with pytest.raises(ParseError):
             parse_quotient("2\n0 1\nw 0 1 : banana\n")
+
+    # Each message exactly.  Witness lines are read before the edge lines,
+    # and an error about the whole text has no line number, except for the
+    # edge list's missing vertex count, which is on line 1.
+    PARSE_ERRORS = [
+        ("2\n0 1\nw 0 1 : 0 1 2\n\n1 0\n", "line 5: edge line after witness lines"),
+        ("2\n0 1\n# c\nw 0 1 : 0 1 2\nw 0 1 : 0 1 3\n", "line 5: duplicate witness for edge (0, 1)"),
+        ("2\n0 1\nw 0 1 : 0 x 2\n", "line 3: cannot parse witness 'w 0 1 : 0 x 2'"),
+        ("2\n0 1\n0 2\nw 0 1 : 0 1 2\n", "line 3: vertex id out of range for n=2"),
+        ("w 0 1 : 0 1 2\n", "line 1: missing vertex count"),
+        ("2\n0 1\n", "edges without witnesses: [(0, 1)]"),
+        ("2\nw 0 1 : 0 3 4\n", "witnesses without edges: [(0, 1)]"),
+    ]
+
+    @pytest.mark.parametrize("text,message", PARSE_ERRORS)
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_quotient(text)
+        assert str(exc.value) == message
