@@ -10,6 +10,7 @@ check a certificate clause by clause and never trust the finder.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import combinations, product
 
 from ._record import Record, VerificationReport
@@ -266,9 +267,12 @@ def find_odd_expansion(
     holds no odd K_t.  Such cycles run through 2-core vertices of the
     classes, so a subtree is cut, with no certificate lost, when deleting
     some t - 3 of the 2-core vertices it may still use leaves the rest
-    bipartite (each deletion set tried once, memoized with the peel).  So
-    None is exact; given at entry, it also carries evidence: the peel, or a
-    deleted set and a 2-coloring of the rest.
+    bipartite (each deletion set tried once, memoized with the peel).  Such
+    a cycle lies in its three classes, and each completion of class k lies
+    in its reach R_k, so a child is also cut when some three of its classes
+    have reaches whose union R_a | R_b | R_c induces a bipartite graph (each
+    union tested once).  So None is exact; given at entry, it also carries
+    evidence: the peel, or a deleted set and a 2-coloring of the rest.
     """
     return _search(g, t, max_nodes, odd=True)
 
@@ -310,19 +314,16 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             todo += [w for w in range(n) if near >> w & 1]
         return mask
 
-    alive: dict[int, bool] = {}
-
+    @cache
     def live(mask: int) -> bool:
         # False when g[mask] has no K_t minor by the peel, so no valid map
         # lies inside mask.  For t <= 2 the peel would drop K_1 and K_2.
         # An odd search also calls mask dead when some t - 3 of its vertices
         # leave g[mask] bipartite once deleted (see find_odd_expansion).
-        if mask not in alive:
-            alive[mask] = t < 3 or peel(mask, t >= 4).bit_count() >= t and not (odd and any(
-                _bipartite(adj, mask ^ sum(cut))
-                for cut in combinations([1 << v for v in range(n) if mask >> v & 1], t - 3)
-            ))
-        return alive[mask]
+        return t < 3 or peel(mask, t >= 4).bit_count() >= t and not (odd and any(
+            _bipartite(adj, mask ^ sum(cut))
+            for cut in combinations([1 << v for v in range(n) if mask >> v & 1], t - 3)
+        ))
 
     # For t >= 3 no cross edge of a valid map leaves the 2-core, so classes
     # take 2-core vertices only.
@@ -335,22 +336,20 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     # reach R_k (the component of g[C_k | suffix] holding C_k) and the union
     # of the neighbourhoods of R_k's vertices.  Every completion of C_k is
     # a connected set inside C_k | suffix, so it lies inside R_k.
-    components: dict[tuple[int, int], tuple[int, int]] = {}
-
+    @cache
     def component(start: int, allowed: int) -> tuple[int, int]:
         # The component of g[allowed] holding the single bit `start`, and
         # the union of its vertices' neighbourhoods.
-        key = (start, allowed)
-        if key not in components:
-            reached = frontier = start
-            nbr = 0
-            while frontier:
-                nxt = _spread(adj, frontier)
-                nbr |= nxt
-                frontier = nxt & allowed & ~reached
-                reached |= frontier
-            components[key] = reached, nbr
-        return components[key]
+        reached = frontier = start
+        nbr = 0
+        while frontier:
+            nxt = _spread(adj, frontier)
+            nbr |= nxt
+            frontier = nxt & allowed & ~reached
+            reached |= frontier
+        return reached, nbr
+
+    bipartite = cache(partial(_bipartite, adj))  # by vertex mask
 
     def feasible(i: int, classes: list[tuple[int, int, int]]) -> bool:
         # Called with vertices 0..i assigned; the suffix starts at i + 1.
@@ -369,10 +368,10 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             for b in range(a + 1, used):
                 if not na & classes[b][1]:
                     return False
-        return True
+        # The trees of three classes of an odd model close an odd cycle in R_a | R_b | R_c.
+        return not odd or not any(bipartite(x[1] | y[1] | z[1]) for x, y, z in combinations(classes, 3))
 
     nodes = 0
-    colorings: dict[int, list[dict[int, int]]] = {}  # each class's colorings by mask, built once per search
 
     def spend() -> None:
         # One node: a search call, or a class coloring or combination of them that an odd leaf tries.
@@ -380,6 +379,8 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded(f"expansion search exceeded {max_nodes} search nodes")
+
+    colorings = cache(partial(_class_colorings, g, spend))  # each class's list, by mask
 
     def search(i: int, mask: int, classes: list[tuple[int, int, int]]):
         # mask: the 2-core vertices not left unused, which hold every completion.
@@ -481,11 +482,12 @@ def _flip_solver(t: int):
     return find, join
 
 
-def _class_colorings(g: Graph, cls: frozenset[int], spend) -> list[dict[int, int]]:
-    """The {1,2}-colorings of cls, 1 on its least vertex, whose bichromatic
-    edges connect it: its breadth-first depth parity, then, only if cls is
-    not bipartite (a bipartite class has no other), the rest in binary order;
-    each coloring tried calls ``spend()`` first."""
+def _class_colorings(g: Graph, spend, mask: int) -> list[dict[int, int]]:
+    """The {1,2}-colorings of the class cls with bitmask ``mask``, 1 on its
+    least vertex, whose bichromatic edges connect it: its breadth-first depth
+    parity, then, only if cls is not bipartite (a bipartite class has no
+    other), the rest in binary order; each one tried calls ``spend()`` first."""
+    cls = frozenset(v for v in range(g.n) if mask >> v & 1)
     low, *rest = sorted(cls)
     spend()
     out = [_depth_parity(_bfs(g.neighbors, low, cls))]
@@ -527,11 +529,8 @@ def _certify(g: Graph, class_masks: list[int], odd: bool, spend=lambda: None, co
 
     if not odd:
         return ExpansionCertificate(trees(g.neighbors), {pair: edges[0] for pair, edges in cross.items()})
-    colorings = {} if colorings is None else colorings  # a search's lists so far, by class mask
-    for m, cls in zip(class_masks, classes):
-        if m not in colorings:
-            colorings[m] = _class_colorings(g, cls, spend)
-    for colors in product(*(colorings[m] for m in class_masks)):
+    colorings = colorings or partial(_class_colorings, g, spend)  # a class's list, by mask
+    for colors in product(*map(colorings, class_masks)):
         spend()
         color = {v: c for col in colors for v, c in col.items()}
         # A cross edge (u, v) of pair (a, b) is monochromatic exactly when

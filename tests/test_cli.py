@@ -721,6 +721,11 @@ class TestBench:
         assert code == 2
         assert "error:" in err
 
+    def test_empty_seed_range_rejected(self):
+        assert run(["bench", "--n", "3", "--p", "0.5", "--seeds", "5..1"]) == (
+            2, "", "error: bench grid must be non-empty\n"
+        )
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -174,6 +174,25 @@ class TestGenerators:
         assert generate("petersen") == petersen()
         assert generate("gnp 8 0.5", seed=3) == gnp(8, 0.5, 3)
 
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (lambda: complete(0), StructureError, "complete graph needs at least one vertex"),
+            (
+                lambda: complete_bipartite(0, 3),
+                StructureError,
+                "both sides of a complete bipartite graph must be non-empty",
+            ),
+            (lambda: gnp(0, 0.5), StructureError, "gnp needs at least one vertex"),
+            (lambda: gnp(3, 1.5), StructureError, "edge probability must lie in [0, 1]"),
+            (lambda: generate(""), ParseError, "empty generator spec"),
+        ],
+    )
+    def test_refusals_name_their_reason(self, make, error, message):
+        with pytest.raises(error) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_generate_rejects_garbage(self):
         with pytest.raises(ParseError):
             generate("torus 3")

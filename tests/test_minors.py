@@ -49,7 +49,7 @@ NON_LEAST_CONNECTOR_K4 = Graph(
 )
 OCTAHEDRON = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2])
 # Holds a K4 but no odd K4; no t - 3 = 1 deleted vertex makes it bipartite,
-# so the odd search has to run (62 nodes) to say so.
+# so the odd search has to run (42 search calls) to say so.
 PLAIN_BUT_NO_ODD_K4 = Graph(
     7, [(0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)]
 )
@@ -102,6 +102,24 @@ def k3_singletons():
 class TestVerifyExpansion:
     def test_k3_is_its_own_expansion(self):
         assert verify_expansion(complete(3), k3_singletons()).passed
+
+    @pytest.mark.parametrize(
+        "trees,connectors,failure",
+        [
+            ((), {}, "certificate has no trees"),
+            ((tree({0}), tree(())), {(0, 1): (0, 1)}, "tree 2 is empty"),
+            ((tree({0, 5}, {(0, 5)}),), {}, "tree 1 contains out-of-range vertex 5"),
+            ((tree({0, 1}, {(0, 1), (1, 2)}),), {}, "tree 1 edge (1, 2) leaves its vertex set"),
+            (
+                (tree({0}), tree({1})),
+                {(0, 1): (0, 1), (0, 2): (0, 2)},
+                "connector for pair (1, 3) does not match any tree pair",
+            ),
+        ],
+    )
+    def test_names_each_clause(self, trees, connectors, failure):
+        report = verify_expansion(complete(3), ExpansionCertificate(trees, connectors))
+        assert failure in report.failures
 
     def test_connector_must_join_its_trees(self):
         cert = k3_singletons()
@@ -199,6 +217,11 @@ class TestVerifyOddExpansion:
         assert any("no parity" in f for f in report.failures)
         assert any("non-tree vertex 2" in f for f in report.failures)
 
+    def test_parity_color_outside_1_and_2_flagged(self):
+        cert = OddExpansionCertificate(k3_singletons(), {0: 1, 1: 1, 2: 3})
+        report = verify_odd_expansion(complete(3), cert)
+        assert report.failures == ("parity color of vertex 2 is 3, not 1 or 2",)
+
 
 class TestFindExpansion:
     def test_k4_is_four_singletons(self):
@@ -256,7 +279,7 @@ class TestFindExpansion:
             (find_expansion, petersen(), 4, 25, 25),  # found
             (find_expansion, OCTAHEDRON, 5, 31, 31),  # not found
             (find_odd_expansion, petersen(), 4, 25, 30),  # found
-            (find_odd_expansion, PLAIN_BUT_NO_ODD_K4, 4, 62, 102),  # not found
+            (find_odd_expansion, PLAIN_BUT_NO_ODD_K4, 4, 42, 64),  # not found
         ],
     )
     def test_node_cap_counts_search_calls(self, finder, g, t, searches, nodes):
@@ -281,11 +304,29 @@ class TestFindExpansion:
             find_odd_expansion(K4_AND_TRIANGLE, 5, max_nodes=18)
 
     def test_class_colorings_built_once_per_class(self):
-        # The leaves of this search hold 1,455 classes, 81 of them distinct;
+        # The 81 leaves of this search hold 324 classes, 32 of them distinct;
         # each distinct class has its colorings listed once.
-        g = gnp(10, 0.6, 1287)
-        answer, calls = count_calls(lambda: find_odd_expansion(g, 5), minors, "_class_colorings")
-        assert calls == 81 and verify_odd_expansion(g, answer).passed
+        g = gnp(10, 0.4, 1226)
+        answer, calls = count_calls(lambda: find_odd_expansion(g, 4), minors, "_class_colorings")
+        assert calls == 32 and verify_odd_expansion(g, answer).passed
+
+    def test_memo_tables_live_for_one_search(self):
+        # Each search builds its own peel verdicts and coloring lists, and
+        # spends its own budget on them: two identical searches do twice
+        # the work of one.
+        g = gnp(10, 0.4, 1226)
+        for name in ("peel", "_class_colorings", "spend"):
+            once = count_calls(lambda: find_odd_expansion(g, 4), minors, name)[1]
+            twice = count_calls(lambda: [find_odd_expansion(g, 4) for _ in range(2)], minors, name)[1]
+            assert once > 0 and twice == 2 * once, name
+
+    def test_three_class_cut_spares_certify(self):
+        # 428 maps reached _certify before the three-class cut, and 427
+        # were rejected; most held three classes whose reaches induce a
+        # bipartite graph.
+        g = gnp(10, 0.4, 1521)
+        answer, leaves = count_calls(lambda: find_odd_expansion(g, 4), minors, "_certify")
+        assert leaves <= 100 and verify_odd_expansion(g, answer).passed
 
     def test_peel_bound_cuts_a_search_that_finds(self):
         # A K4 whose search took 22,642 nodes before the peel bound.
@@ -296,7 +337,7 @@ class TestFindExpansion:
     def test_node_totals_on_the_search_corpus(self):
         """The search's work on a fixed set, pinned: a change to the pruning
         that moves either total restates both numbers here and in CHANGES.md."""
-        assert search_node_totals() == (3882, 1235)
+        assert search_node_totals() == (3882, 1213)
 
     @pytest.mark.parametrize("name,g", small_corpus(8))
     def test_not_found_below_k5_takes_no_node(self, name, g):

@@ -120,6 +120,27 @@ class TestVerifyQuotient:
         report = verify_quotient(complete(5), type(q)(q.h, doctored, q.partition))
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "pair,witness,failure",
+        [
+            ((1, 0), WitnessTriple(0, 3, 4), "witness for (1, 0): not an ordered part pair"),
+            ((0, 2), WitnessTriple(0, 3, 4), "witness for (0, 2): not an ordered part pair"),
+            ((0, 1), WitnessTriple(0, 2, 4), "witness for (0, 1): 2 not on side B of part 0"),
+            (
+                (0, 1),
+                WitnessTriple(2, 3, 4),
+                "witness for (0, 1): 4 is not a common neighbor of 2 and 3",
+            ),
+        ],
+    )
+    def test_names_each_witness_clause(self, pair, witness, failure):
+        # C5 contracts to the path part {0, 1, 2, 3} (A = {0, 2}, B = {1, 3})
+        # and the part {4}; 4 is adjacent to 0 and 3 only.
+        q = quotient_of(cycle(5))
+        doctored = {**q.witnesses, pair: witness}
+        report = verify_quotient(cycle(5), type(q)(q.h, doctored, q.partition))
+        assert failure in report.failures
+
     def test_flags_missing_witness(self):
         q = quotient_of(complete(5))
         partial = {k: v for k, v in q.witnesses.items() if k != (1, 2)}
