@@ -167,6 +167,14 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _comma_list(flag: str, spec: str, kind: type, noun: str) -> list:
+    """The comma-separated ``kind`` values of ``spec``, or a ValueError naming ``flag``."""
+    try:
+        return [kind(x) for x in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma list of {noun}, got {spec!r}") from None
+
+
 def _seed_list(spec: str) -> range | list[int]:
     """The ``--seeds`` values: ``LO..HI`` as a range, never listed, or a comma list."""
     lo, dots, hi = spec.partition("..")
@@ -264,10 +272,10 @@ BENCH_COLUMNS = (
 
 def _bench(args: SimpleNamespace) -> str:
     try:
-        ns = [check_order(int(x)) for x in args.n.split(",")]
+        ns = [check_order(n) for n in _comma_list("--n", args.n, int, "integers")]
         for n in ns:
             check_pairs(max(n, 0) * (n - 1) // 2)
-        ps = [float(x) for x in args.p.split(",")]
+        ps = _comma_list("--p", args.p, float, "numbers")
         seeds = _seed_list(args.seeds)
     except ValueError as exc:
         raise ParseError(f"bad bench grid: {exc}") from None
@@ -275,7 +283,7 @@ def _bench(args: SimpleNamespace) -> str:
     count = max(seeds.stop - seeds.start, 0) if isinstance(seeds, range) else len(seeds)
     if len(ns) * len(ps) * count > MAX_BENCH_ROWS:
         raise ParseError(f"bad bench grid: {len(ns) * len(ps) * count} rows exceed {MAX_BENCH_ROWS}")
-    if not ns or not ps or not seeds:
+    if not seeds:  # --n and --p list at least one value each
         raise ParseError("bench grid must be non-empty")
     if min(ns) < 1 or not all(0 <= p <= 1 for p in ps):
         raise ParseError("bench grid needs every n >= 1 and every p in [0, 1]")

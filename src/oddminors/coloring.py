@@ -103,11 +103,13 @@ def color_exact(g: Graph, *, max_nodes: int = DEFAULT_MAX_NODES) -> Coloring:
 
     A greedy clique seeds the lower bound (its vertices are pre-colored,
     which is sound up to color renaming); the saturation greedy seeds the
-    upper bound.  Branching order is fixed, so the returned coloring is
-    deterministic; the search ends at the first coloring with as many colors
-    as the clique, which no coloring can beat.  The budget counts work, not
-    size: the search visits at most max_nodes nodes, and one more raises
-    BudgetExceeded; it never degrades to a heuristic answer.
+    upper bound.  The search is one depth-first loop, one node per step: it
+    pushes the DSATUR vertex on the path or keeps a better leaf coloring,
+    then moves the deepest vertex with a color left to that color.  Its
+    order is fixed, so the answer is deterministic; it ends at the first
+    coloring with as many colors as the clique, which no coloring can beat.
+    Only the budget bounds it, at any depth: max_nodes steps at most, one
+    more raises BudgetExceeded, and it never degrades to a heuristic answer.
     """
     greedy = color_heuristic(g)
     best_k = greedy.palette
@@ -119,37 +121,34 @@ def color_exact(g: Graph, *, max_nodes: int = DEFAULT_MAX_NODES) -> Coloring:
     colors, neighbor_colors, pick, down, up = _dsatur(g)
     for rank, v in enumerate(clique):
         down(v, rank)
-    start_k = len(clique)
-    nodes = 0
-
-    def search(used: int) -> bool:
-        """True once ``best`` uses as many colors as the clique: a proven optimum."""
-        nonlocal best_k, best, nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceeded(f"exact coloring exceeded {max_nodes} search nodes")
+    start_k = used = len(clique)
+    path: list[list] = []  # [v, colors in use before v, v's color or -1, what down touched]
+    for _ in range(max_nodes):
         v = pick()
-        if v == -1:
-            if used < best_k:
-                best_k = used
-                best = colors[:]
-            return best_k == start_k
-        for c in range(used):
-            if c in neighbor_colors[v]:
-                continue
-            touched = down(v, c)
-            if search(used):
-                return True
-            up(v, c, touched)
-        # One fresh color; higher ones are symmetric to it.
-        if used + 1 < best_k:
-            touched = down(v, used)
-            if search(used + 1):
-                return True
-            up(v, used, touched)
-        return False
-
-    search(start_k)
+        if v != -1:
+            path.append([v, used, -1, None])
+        elif used < best_k:
+            best_k, best = used, colors[:]
+            if best_k == start_k:
+                break
+        # Back up to the deepest vertex with a next color: one in use that no
+        # neighbor has, then one fresh color (higher ones are symmetric to it).
+        while path:
+            v, used, c, touched = step = path[-1]
+            if c >= 0:
+                up(v, c, touched)
+            c += 1
+            while c < used and c in neighbor_colors[v]:
+                c += 1
+            if c < used or c == used and used + 1 < best_k:
+                step[2:] = c, down(v, c)
+                used += c == used
+                break
+            path.pop()
+        else:
+            break  # every branch is closed
+    else:  # max_nodes steps taken and a branch still open
+        raise BudgetExceeded(f"exact coloring exceeded {max_nodes} search nodes")
     return Coloring(tuple(best))
 
 

@@ -9,7 +9,7 @@ greedy algorithm in the package fully deterministic.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 from ._record import Record
 from .errors import ParseError, StructureError
@@ -43,7 +43,7 @@ class Graph:
             raise StructureError(f"vertex count must be non-negative, got {n}")
         pairs: list[int] = []
         add = pairs.append
-        deg = [0] * n
+        at = [0] * n  # per vertex: its degree, then its run's end, then its start
         ordered = True  # each normalized pair so far above the one before it
         pu = pv = -1
         for u, v in edges:
@@ -58,24 +58,23 @@ class Graph:
             pu, pv = u, v
             add(u)
             add(v)
-            deg[u] += 1
-            deg[v] += 1
+            at[u] += 1
+            at[v] += 1
         # Each temporary is dropped once used, to lower the peak of a parse.
-        starts = [0, *accumulate(deg)]
-        del deg
-        ends = starts[:-1]  # vertex x's run is flat[starts[x]:ends[x]]
+        at = list(accumulate(at))
         flat = [0] * len(pairs)
-        it = iter(pairs)
-        for u, v in zip(it, it):
-            flat[ends[u]] = v
-            ends[u] += 1
-            flat[ends[v]] = u
-            ends[v] += 1
+        it = reversed(pairs)
+        for v, u in zip(it, it):  # last pair first, so each run fills downward in order
+            at[u] -= 1
+            flat[at[u]] = v
+            at[v] -= 1
+            flat[at[v]] = u
         del pairs, it
         runs = tuple(flat)
         del flat
-        adj = [runs[s:e] for s, e in zip(starts, ends)]
-        del runs, starts, ends
+        at.append(len(runs))  # vertex x's run is runs[at[x]:at[x + 1]]
+        adj = [runs[s:e] for s, e in pairwise(at)]
+        del runs, at
         if not ordered:
             adj = [tuple(sorted(set(out))) for out in adj]
         self.n = n

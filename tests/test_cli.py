@@ -584,6 +584,12 @@ class TestBudgets:
             art.write_text(out)
             assert run(["verify", "--coloring", str(art)], stdin_text=graph) == (0, "PASS\n", ""), spec
 
+    def test_exact_coloring_of_a_long_odd_cycle(self):
+        # The search is as deep as C1501 is long; only --max-nodes bounds it.
+        code, out, err = run(["color", "--mode", "exact"], stdin_text=run(["gen", "cycle", "1501"])[1])
+        assert (code, err) == (0, "")
+        assert out.startswith("palette 3\n")
+
     @pytest.mark.parametrize(
         "spec", [["gnp", "25", "0.1", "--seed", "9184"], ["gnp", "36", "0.3", "--seed", "9235"]], ids=" ".join
     )
@@ -716,10 +722,23 @@ class TestBench:
             f"error: bad bench grid: --seeds must be LO..HI or a comma list of integers, got {seeds!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "n,p,text",
+        [
+            ("5,a", "0.5", "--n must be a comma list of integers, got '5,a'"),
+            ("4.5", "0.5", "--n must be a comma list of integers, got '4.5'"),
+            ("5", "x", "--p must be a comma list of numbers, got 'x'"),
+            ("5", "0.5,", "--p must be a comma list of numbers, got '0.5,'"),
+            ("100000000000000000000", "0.5", "vertex count 100000000000000000000 exceeds 10000000"),
+        ],
+    )
+    def test_grid_axes_name_their_forms(self, n, p, text):
+        assert run(["bench", "--n", n, "--p", p, "--seeds", "1"]) == (2, "", f"error: bad bench grid: {text}\n")
+
     def test_empty_grid_rejected(self):
-        code, _, err = run(["bench", "--n", "", "--p", "0.5", "--seeds", "1"])
-        assert code == 2
-        assert "error:" in err
+        assert run(["bench", "--n", "", "--p", "0.5", "--seeds", "1"]) == (
+            2, "", "error: bad bench grid: --n must be a comma list of integers, got ''\n"
+        )
 
     def test_empty_seed_range_rejected(self):
         assert run(["bench", "--n", "3", "--p", "0.5", "--seeds", "5..1"]) == (

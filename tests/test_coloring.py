@@ -62,11 +62,22 @@ class TestColorExact:
 
     @pytest.mark.parametrize("g", [petersen(), gnp(40, 0.2, 0)])
     def test_node_cap_counts_search_calls(self, g):
-        answer, k = count_calls(lambda: color_exact(g), coloring)
+        # Each search node picks one vertex; the greedy upper bound picks
+        # each of the g.n vertices once before the search starts.
+        answer, picks = count_calls(lambda: color_exact(g), coloring, "pick")
+        k = picks - g.n
         assert k > 1
         assert color_exact(g, max_nodes=k) == answer
         with pytest.raises(BudgetExceeded, match=f"exceeded {k - 1} search nodes"):
             color_exact(g, max_nodes=k - 1)
+
+    @pytest.mark.parametrize("n", [991, 1501])
+    def test_long_odd_cycle_is_not_bounded_by_depth(self, n):
+        # One loop over an explicit path: a search as deep as the graph is
+        # long needs no interpreter stack (991 once raised RecursionError).
+        c = color_exact(cycle(n))
+        assert c.palette == 3
+        assert verify_coloring(cycle(n), c).passed
 
     def test_node_budget(self):
         # Petersen needs actual branching: the clique bound is 2, chi is 3.
