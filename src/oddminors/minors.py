@@ -4,8 +4,8 @@ A K_t-expansion is t vertex-disjoint trees plus one chosen connecting edge
 per tree pair.  The odd variant additionally carries a 2-coloring under
 which every tree edge is bichromatic and every connector monochromatic.
 Finders are exhaustive within a hard budget of search nodes, on graphs
-whose (t+1)^n branch-set maps number at most MAX_ASSIGNMENTS; verifiers
-check a certificate clause by clause and never trust the finder.
+whose 2-core (for t >= 3) has at most MAX_ASSIGNMENTS branch-set maps;
+verifiers check a certificate clause by clause and never trust the finder.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .errors import (
 )
 from .graph import Graph, _distinct, _parse_ids, _Reader
 
-# The search refuses a graph whose (t+1)^n branch-set maps exceed this,
-# before it visits a node; it covers n=10 at t=5 (6^10 ~ 60.5M).
+# The search refuses (t+1)^c branch-set maps of its c vertices above this,
+# before it visits a node; it covers c=10 at t=5 (6^10 ~ 60.5M) and keeps
+# the recursive search at most 27 calls deep (c <= 26).
 MAX_ASSIGNMENTS = 100_000_000
 
 
@@ -218,19 +219,21 @@ def find_expansion(
     (where every later class lies), or when too few vertices remain for
     the classes still to open.  Assigning i to k needs i ∈ R_k and leaves
     R_k as it is; only the reaches holding i are recomputed, once per
-    node.  For t >= 3, deleting vertices of degree <= 1 and, for t >= 4,
-    replacing a degree-2 vertex by an edge joining its neighbours keeps
-    every K_t minor, so a subtree is also cut when fewer than t of the
-    vertices it may still use survive this peel (memoized per vertex set).
-    And classes take only 2-core vertices: an edge touching another vertex
-    is a bridge, which no third class adjacent to both ends can cross, so
-    such a vertex carries no cross edge and dropping it gives an earlier
-    valid map.  The outcome matches plain enumeration, so None is exact:
-    no K_t-expansion exists.  The same holds for find_odd_expansion.
+    node.  For t >= 3 a subtree is also cut when the vertices it may still
+    use induce treewidth <= t - 2, so no K_t minor (Bodlaender, TCS 1998:
+    minors never raise treewidth, and tw(K_t) = t - 1).  The peel shows it,
+    memoized per vertex set: each vertex of degree <= t - 2 it deletes,
+    its neighbours made a clique, is an elimination step of width <= t - 2,
+    and fewer than t vertices left have width <= t - 2.  Classes take only
+    2-core vertices: an edge touching another vertex is a bridge, which no
+    third class adjacent to both ends can cross, so such a vertex carries
+    no cross edge and dropping it gives an earlier valid map.  The outcome
+    matches plain enumeration, so None is exact: no K_t-expansion exists.
+    The same holds for find_odd_expansion.
 
     The search visits at most max_nodes nodes; one more raises
-    BudgetExceeded.  With t > n the answer is None at once; otherwise a
-    graph with (t+1)^n > MAX_ASSIGNMENTS is refused with BudgetExceeded.
+    BudgetExceeded.  On c searched vertices (the 2-core for t >= 3), t > c
+    answers None at once and (t+1)^c > MAX_ASSIGNMENTS raises BudgetExceeded.
     """
     return _search(g, t, max_nodes, odd=False)
 
@@ -280,57 +283,58 @@ def find_odd_expansion(
 def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     if t < 1:
         raise ContractViolation(f"t must be a positive integer, got {t}")
-    n = g.n
+    # For t >= 3 no cross edge of a valid map leaves the 2-core, so classes
+    # take its vertices only: the search runs on them, vertex j being ids[j].
+    ids = range(g.n)
+    if t >= 3:  # the 2-core: delete vertices of degree <= 1, round after round
+        degree = [g.degree(v) for v in ids]
+        low = [v for v in ids if degree[v] <= 1]
+        for v in low:
+            for w in g.neighbors(v):
+                degree[w] -= 1
+                if degree[w] == 1:
+                    low.append(w)
+        ids = [v for v in ids if degree[v] > 1]
+    n = len(ids)
     if t > n:
         return None
-    total = (t + 1) ** n
-    if total > MAX_ASSIGNMENTS:
+    if (t + 1) ** n > MAX_ASSIGNMENTS:
         raise BudgetExceeded(
-            f"(t+1)^n = {total} assignments exceeds the limit of {MAX_ASSIGNMENTS}"
+            f"(t+1)^n = {t + 1}^{n} assignments exceeds the limit of {MAX_ASSIGNMENTS}"
         )
 
-    adj = [0] * n
-    for u, v in g.sorted_edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    index = {v: j for j, v in enumerate(ids)}
+    adj = [sum(1 << index[w] for w in g.neighbors(v) if w in index) for v in ids]
 
-    def peel(mask: int, suppress: bool) -> int:
-        # What is left of g[mask] once vertices of degree <= 1 are deleted
-        # and, if suppress, each degree-2 vertex is replaced by an edge
-        # joining its two neighbours, until neither applies.
+    def peel(mask: int, k: int) -> int:
+        # What is left of g[mask] once each vertex of degree <= k is deleted
+        # and its neighbours are joined into a clique, until none is left.
         nbr = adj[:]
         todo = [v for v in range(n) if mask >> v & 1]
         while todo:
             v = todo.pop()
             near = nbr[v] & mask
-            degree = near.bit_count()
-            if not mask >> v & 1 or degree > 1 + suppress:
+            if not mask >> v & 1 or near.bit_count() > k:
                 continue
             mask ^= 1 << v
-            if degree == 2:
-                a = near & -near
-                nbr[a.bit_length() - 1] |= near ^ a
-                nbr[(near ^ a).bit_length() - 1] |= a
-            todo += [w for w in range(n) if near >> w & 1]
+            around = [w for w in range(n) if near >> w & 1]
+            for w in around:
+                nbr[w] |= near ^ 1 << w
+            todo += around
         return mask
 
     @cache
     def live(mask: int) -> bool:
-        # False when g[mask] has no K_t minor by the peel, so no valid map
-        # lies inside mask.  For t <= 2 the peel would drop K_1 and K_2.
-        # An odd search also calls mask dead when some t - 3 of its vertices
-        # leave g[mask] bipartite once deleted (see find_odd_expansion).
-        return t < 3 or peel(mask, t >= 4).bit_count() >= t and not (odd and any(
+        # False when the peel shows g[mask] has treewidth <= t - 2, so no
+        # K_t minor.  For t <= 2 the peel would drop K_1 and K_2.  An odd
+        # search also calls mask dead when some t - 3 of its vertices leave
+        # g[mask] bipartite once deleted (see find_odd_expansion).
+        return t < 3 or peel(mask, t - 2).bit_count() >= t and not (odd and any(
             _bipartite(adj, mask ^ sum(cut))
             for cut in combinations([1 << v for v in range(n) if mask >> v & 1], t - 3)
         ))
 
-    # For t >= 3 no cross edge of a valid map leaves the 2-core, so classes
-    # take 2-core vertices only.
     full = (1 << n) - 1
-    core = peel(full, False) if t >= 3 else full
-    # suffix_mask[i]: the vertices >= i that a class may still take.
-    suffix_mask = [core >> i << i for i in range(n + 1)]
 
     # Each open class is a triple (C_k, R_k, N(R_k)): its vertices, its
     # reach R_k (the component of g[C_k | suffix] holding C_k) and the union
@@ -358,7 +362,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             return False
         if used < t:
             # A class still to open lies in the suffix and must touch R_a.
-            rest = suffix_mask[i + 1]
+            rest = full >> (i + 1) << (i + 1)
             for _, _, na in classes:
                 if not na & rest:
                     return False
@@ -383,12 +387,13 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     colorings = cache(partial(_class_colorings, g, spend))  # each class's list, by mask
 
     def search(i: int, mask: int, classes: list[tuple[int, int, int]]):
-        # mask: the 2-core vertices not left unused, which hold every completion.
+        # mask: the vertices not left unused, which hold every completion.
         spend()
         if i == n:
             # feasible() at i = n - 1 saw an empty suffix: every class is
             # connected, all t are open and every pair is joined.
-            return _certify(g, [c for c, _, _ in classes], odd, spend, colorings)
+            masks = [sum(1 << v for j, v in enumerate(ids) if c >> j & 1) for c, _, _ in classes]
+            return _certify(g, masks, odd, spend, colorings)
         bit = 1 << i
         # i leaves the suffix, so only the reaches holding i can change; each
         # is recomputed once here, whatever i is assigned to.
@@ -410,7 +415,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         else:
             # -1 leaves i unused, k < used adds it to class k, used opens a class.
             options = [-1, *holders]
-            if used < t and core & bit:
+            if used < t:
                 options.append(used)
         for k in options:
             if k < 0:
@@ -421,14 +426,14 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
                 child = cut[:]
                 child[k] = c | bit, r, nbr
             else:
-                child = [*cut, (bit, *component(bit, suffix_mask[i]))]
+                child = [*cut, (bit, *component(bit, full >> i << i))]
             if feasible(i, child) and (k >= 0 or live(mask & ~bit)):
                 out = search(i + 1, mask if k >= 0 else mask & ~bit, child)
                 if out is not None:
                     return out
         return None
 
-    return search(0, core, []) if live(core) else None
+    return search(0, full, []) if live(full) else None
 
 
 def _bipartite(adj: list[int], mask: int) -> bool:

@@ -6,6 +6,9 @@ every claim is exercised on identical inputs.
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import oddminors.minors as minors
 from oddminors import (
     Graph,
@@ -66,6 +69,22 @@ def search_node_totals() -> tuple[int, int]:
         sum(count_calls(lambda: finder(g, t), minors)[1] for g in graphs for t in (3, 4, 5))
         for finder in (find_expansion, find_odd_expansion)
     )
+
+
+def partial_k_tree(n: int, k: int, seed: int) -> Graph:
+    """A seeded partial k-tree on n > k vertices, so of treewidth <= k and
+    without a K_{k+2} minor: a k-tree grown from K_{k+1}, each new vertex
+    joined to a k-clique already built, each edge kept with probability 0.9,
+    and the vertices renamed at random."""
+    rng = random.Random(seed)
+    edges = list(combinations(range(k + 1), 2))
+    cliques = list(combinations(range(k + 1), k))
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        edges += [(u, v) for u in base]
+        cliques += [tuple(w for w in base if w != u) + (v,) for u in base]
+    name = rng.sample(range(n), n)
+    return Graph(n, [(name[u], name[v]) for u, v in edges if rng.random() < 0.9])
 
 
 def all_graphs_on_5() -> list[Graph]:

@@ -500,14 +500,17 @@ class TestGoldenStdout:
         "partition": "8066ad25cab465ec72b7e72f938cf4ec3f66f988c624e9589a4842a336c142b9",
         "quotient": "9b425375654ed70cffadd8f3c606113f701434106773815d9331f7ff94713812",
         "color": "abd93c7ecacdd59f7aaa5df1501d0105bd7108cf54d4cdb8004172deb4ad5b49",
-        "find-minor": "59fd27c2ed647e1766703e5c0cda6a44386176a0bd0a065446732296244e00b0",
-        "find-odd-minor": "f87fa1218e7acdc68913d494ade3146a9150f7dd6fc36aae4264edd7724fec97",
+        # Restated when the size limit came to read the 2-core: of the 238
+        # requests of these two streams that exited 3, 34 answer (26 NOT
+        # FOUND, 8 FOUND), and no other request changed its stdout.
+        "find-minor": "36930c98c040db4634422bf29c408c3a3ab487bf4378267e50db9b5c4e33a99c",
+        "find-odd-minor": "2ee2d8347393887e78da8c4afebfc0dab74d00a07b164bb0225c794ae5d21f31",
         "report": "623004446d9eac8ff04d064139fdb77ecc1485cca03253864ef9e932656f1691",
         # Every artifact the CLI wrote passes, so these three streams agree.
         "verify --partition": "acb9205dfa3122839e8d83f39a6a03a11ba807b0691b18fe876240070b88bad1",
         "verify --quotient": "acb9205dfa3122839e8d83f39a6a03a11ba807b0691b18fe876240070b88bad1",
         "verify --coloring": "acb9205dfa3122839e8d83f39a6a03a11ba807b0691b18fe876240070b88bad1",
-        "verify --cert": "36e7887a7bf357c5cbcb537d2766d490e2b8af28ba48c50d0615e1ce0ab2b654",
+        "verify --cert": "f141ee2d1034af030ca38271ace74c2306e1966abcdd4dcf26eafed0f5cd4f91",
     }
 
     def test_stdout_digests(self, tmp_path):
@@ -545,6 +548,25 @@ class TestBudgets:
         graph = run(["gen", "complete-bipartite", "5", "5"])[1]
         argv = ["find-odd-minor", "-t", "3", "--max-nodes", "1"]
         assert run(argv, stdin_text=graph) == (1, "NOT FOUND\n", "")
+
+    def test_size_limit_refusal_gives_the_power(self):
+        # 4^7200 has more digits than Python converts to text by default, so
+        # the refusal names the power and never the integer.
+        code, out, err = run(["find-minor", "-t", "3"], stdin_text=run(["gen", "cycle", "7200"])[1])
+        assert (code, out) == (3, "")
+        assert err == "error: (t+1)^n = 4^7200 assignments exceeds the limit of 100000000\n"
+
+    @pytest.mark.parametrize("command", ["find-minor", "find-odd-minor"])
+    def test_size_limit_reads_the_2_core(self, command, tmp_path):
+        # A triangle with a 20-vertex pendant path: 4^23 maps of all its
+        # vertices exceed the limit, but the search runs on its 2-core, the
+        # triangle.
+        graph = "23\n0 1\n0 2\n1 2\n" + "".join(f"{v} {v + 1}\n" for v in range(2, 22))
+        code, out, err = run([command, "-t", "3"], stdin_text=graph)
+        assert (code, err) == (0, "")
+        assert out.startswith("trees 3\nT 1: 0 /\nT 2: 1 /\nT 3: 2 /\n")
+        (tmp_path / "cert.txt").write_text(out)
+        assert run(["verify", "--cert", str(tmp_path / "cert.txt")], stdin_text=graph) == (0, "PASS\n", "")
 
     def test_environment_sets_no_budget(self, monkeypatch):
         argvs = (["find-minor", "-t", "3"], ["color", "--mode", "exact"])

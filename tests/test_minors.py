@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddminors.minors as minors
-from corpus import SEARCH_GRAPHS, all_graphs_on_5, search_node_totals, small_corpus
+from corpus import SEARCH_GRAPHS, all_graphs_on_5, partial_k_tree, search_node_totals, small_corpus
 from oddminors import (
     BudgetExceeded,
     ContractViolation,
@@ -277,9 +277,12 @@ class TestFindExpansion:
         "finder,g,t,searches,nodes",
         [
             (find_expansion, petersen(), 4, 25, 25),  # found
-            (find_expansion, OCTAHEDRON, 5, 31, 31),  # not found
+            # Restated (31 and 42/64 before) when the peel came to eliminate
+            # every vertex of degree <= t - 2 and the search to skip the
+            # vertices outside the 2-core.
+            (find_expansion, OCTAHEDRON, 5, 20, 20),  # not found
             (find_odd_expansion, petersen(), 4, 25, 30),  # found
-            (find_odd_expansion, PLAIN_BUT_NO_ODD_K4, 4, 42, 64),  # not found
+            (find_odd_expansion, PLAIN_BUT_NO_ODD_K4, 4, 29, 51),  # not found
         ],
     )
     def test_node_cap_counts_search_calls(self, finder, g, t, searches, nodes):
@@ -337,7 +340,10 @@ class TestFindExpansion:
     def test_node_totals_on_the_search_corpus(self):
         """The search's work on a fixed set, pinned: a change to the pruning
         that moves either total restates both numbers here and in CHANGES.md."""
-        assert search_node_totals() == (3882, 1213)
+        # (3882, 1213) before the width-(t - 2) elimination peel and the
+        # search on the 2-core alone, which dropped only peeled subtrees and
+        # the nodes of vertices outside the 2-core.
+        assert search_node_totals() == (1739, 1119)
 
     @pytest.mark.parametrize("name,g", small_corpus(8))
     def test_not_found_below_k5_takes_no_node(self, name, g):
@@ -353,6 +359,15 @@ class TestFindExpansion:
                     assert naive_find_branch_sets(g, t) is None, (name, t)
                 else:
                     assert frozen_search(g, t, BUDGET, False, frozen_certify) is None, (name, t)
+
+    @pytest.mark.parametrize("k,t,n", [(3, 5, 9), (3, 5, 10), (4, 6, 9)])
+    def test_partial_k_trees_take_no_node(self, k, t, n):
+        # A partial k-tree has treewidth <= k, so no K_{k+2} minor, and its
+        # elimination order peels it whole before the first node.
+        for seed in range(5):
+            g = partial_k_tree(n, k, 100 * n + seed)
+            for finder in (find_expansion, find_odd_expansion):
+                assert count_calls(lambda: finder(g, t), minors) == (None, 0), (g.sorted_edges(), t)
 
     @pytest.mark.parametrize("name,g", small_corpus(6))
     def test_agrees_with_naive_lex_first(self, name, g):
@@ -506,20 +521,27 @@ class TestSearchAgainstFrozen:
     def test_pendant_vertex_leaves_the_odd_certificate_as_it_is(self):
         # No model uses a vertex outside the 2-core, and each map is decided
         # over every class coloring, so a pendant vertex 0 on vertex 3 of
-        # K4_AND_TRIANGLE shifted by one only shifts its certificate.
+        # K4_AND_TRIANGLE shifted by one only shifts its certificate.  So does
+        # the 20-vertex pendant path 3-0-8-9-...-26, though 6^27 maps of all
+        # 27 vertices exceed the size limit: the search runs on the 2-core.
+        def shift(cert):
+            return ExpansionCertificate(
+                tuple(tree({v + 1 for v in tr.vertices}, {(u + 1, v + 1) for u, v in tr.edges})
+                      for tr in cert.trees),
+                {pair: (u + 1, v + 1) for pair, (u, v) in cert.connectors.items()},
+            )
+
         base = find_odd_expansion(K4_AND_TRIANGLE, 5)
         assert base is not None
-        g = Graph(8, [(u + 1, v + 1) for u, v in K4_AND_TRIANGLE.sorted_edges()] + [(0, 3)])
-        shifted = OddExpansionCertificate(
-            ExpansionCertificate(
-                tuple(tree({v + 1 for v in tr.vertices}, {(u + 1, v + 1) for u, v in tr.edges})
-                      for tr in base.base.trees),
-                {pair: (u + 1, v + 1) for pair, (u, v) in base.base.connectors.items()},
-            ),
-            {v + 1: c for v, c in base.parity.items()},
-        )
-        assert find_odd_expansion(g, 5) == shifted
-        assert verify_odd_expansion(g, shifted).passed
+        shifted = OddExpansionCertificate(shift(base.base), {v + 1: c for v, c in base.parity.items()})
+        plain = shift(find_expansion(K4_AND_TRIANGLE, 5))
+        edges = [(u + 1, v + 1) for u, v in K4_AND_TRIANGLE.sorted_edges()] + [(0, 3)]
+        path = [(0, 8)] + [(v, v + 1) for v in range(8, 26)]
+        for g in (Graph(8, edges), Graph(27, edges + path)):
+            assert find_odd_expansion(g, 5) == shifted
+            assert verify_odd_expansion(g, shifted).passed
+            assert find_expansion(g, 5) == plain
+            assert verify_expansion(g, plain).passed
 
     def test_same_guards(self):
         # Both refuse a graph over the size limit: 4^14 maps at t = 3.
