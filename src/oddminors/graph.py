@@ -197,24 +197,13 @@ def _distinct(items: list, repeated: str) -> frozenset:
     return out
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: first line ``n``, then ``u v`` lines.
-
-    ``#`` starts a comment that runs to the end of the line; blank lines
-    are skipped.  Edges stream into ``Graph`` as they are read.
-    """
-    with _Reader(text, "#") as lines:
-        items = _graph_items(lines)
-        return Graph(next(items), items)
-
-
-def parse_dimacs(text: str) -> Graph:
-    """Parse the DIMACS ``.col`` subset: ``p edge n m`` header, 1-based ``e`` lines.
-
-    Edges stream into ``Graph`` as they are read.
-    """
-    with _Reader(text, "c") as lines:
-        items = _graph_items(lines, dimacs=True)
+def parse_graph(text: str) -> Graph:
+    """Parse a graph: DIMACS (``c`` comment lines) when the text's first
+    non-whitespace character is ``p`` or ``c``, else an edge list (``#``
+    comments).  Edges stream into ``Graph`` as they are read."""
+    dimacs = text.lstrip().startswith(("p", "c"))
+    with _Reader(text, "c" if dimacs else "#") as lines:
+        items = _graph_items(lines, dimacs)
         return Graph(next(items), items)
 
 
@@ -261,17 +250,6 @@ def _misfit(line: str, word: str, form: str) -> ParseError:
         return ParseError(f"expected {form}, got {line!r}")
     wrong = {"p": "duplicate problem line", "e": "edge before 'p edge' header"}
     return ParseError(wrong.get(first, f"unrecognized line {line!r}"))
-
-
-def parse_graph(text: str) -> Graph:
-    """Parse a graph in the format ``detect_format`` names: DIMACS or edge list."""
-    return parse_dimacs(text) if detect_format(text) == "dimacs" else parse_edge_list(text)
-
-
-def detect_format(text: str) -> str:
-    """``"dimacs"`` when the first line that is not blank starts with ``p`` or ``c`` (every line
-    break is whitespace, so that is the text's first non-whitespace character), else ``"edge-list"``."""
-    return "dimacs" if text.lstrip().startswith(("p", "c")) else "edge-list"
 
 
 def render_edge_list(g: Graph) -> str:

@@ -4,8 +4,8 @@ A K_t-expansion is t vertex-disjoint trees plus one chosen connecting edge
 per tree pair.  The odd variant additionally carries a 2-coloring under
 which every tree edge is bichromatic and every connector monochromatic.
 Finders are exhaustive within a hard budget of search nodes, on graphs
-whose 2-core (for t >= 3) has at most MAX_ASSIGNMENTS branch-set maps;
-verifiers check a certificate clause by clause and never trust the finder.
+whose 2-core has at most MAX_ASSIGNMENTS branch-set maps (t <= 2 needs no
+search); verifiers check a certificate clause by clause and never trust the finder.
 """
 
 from __future__ import annotations
@@ -219,9 +219,9 @@ def find_expansion(
     (where every later class lies), or when too few vertices remain for
     the classes still to open.  Assigning i to k needs i ∈ R_k and leaves
     R_k as it is; only the reaches holding i are recomputed, once per
-    node.  For t >= 3 a subtree is also cut when the vertices it may still
-    use induce treewidth <= t - 2, so no K_t minor (Bodlaender, TCS 1998:
-    minors never raise treewidth, and tw(K_t) = t - 1).  The peel shows it,
+    node.  A subtree is also cut when the vertices it may still use induce
+    treewidth <= t - 2, so no K_t minor (Bodlaender, TCS 1998: minors never
+    raise treewidth, and tw(K_t) = t - 1).  The peel shows it,
     memoized per vertex set: each vertex of degree <= t - 2 it deletes,
     its neighbours made a clique, is an elimination step of width <= t - 2,
     and fewer than t vertices left have width <= t - 2.  Classes take only
@@ -232,8 +232,11 @@ def find_expansion(
     The same holds for find_odd_expansion.
 
     The search visits at most max_nodes nodes; one more raises
-    BudgetExceeded.  On c searched vertices (the 2-core for t >= 3), t > c
-    answers None at once and (t+1)^c > MAX_ASSIGNMENTS raises BudgetExceeded.
+    BudgetExceeded.  On the c vertices of the 2-core, t > c answers None at
+    once and (t+1)^c > MAX_ASSIGNMENTS raises BudgetExceeded.  For t <= 2 no
+    search runs, so neither bound applies: the first map is K1 = {n - 1}, or
+    K2 = {u}, {w}, u being the last vertex with a later neighbour and w its
+    last neighbour.
     """
     return _search(g, t, max_nodes, odd=False)
 
@@ -283,22 +286,27 @@ def find_odd_expansion(
 def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     if t < 1:
         raise ContractViolation(f"t must be a positive integer, got {t}")
-    # For t >= 3 no cross edge of a valid map leaves the 2-core, so classes
-    # take its vertices only: the search runs on them, vertex j being ids[j].
-    ids = range(g.n)
-    if t >= 3:  # the 2-core: delete vertices of degree <= 1, round after round
-        degree = [g.degree(v) for v in ids]
-        low = [v for v in ids if degree[v] <= 1]
-        for v in low:
-            for w in g.neighbors(v):
-                degree[w] -= 1
-                if degree[w] == 1:
-                    low.append(w)
-        ids = [v for v in ids if degree[v] > 1]
+    if t < 3:
+        # No search: the first valid map in closed form (see find_expansion).
+        later = ((u, out[-1]) for u in reversed(range(g.n)) if (out := g.neighbors(u)) and out[-1] > u)
+        first = next(later, None) if t == 2 else (g.n - 1,) if g.n else None
+        return None if first is None else _certify(g, [1 << v for v in first], odd)
+    # No cross edge of a valid map leaves the 2-core, so classes take its
+    # vertices only: the search runs on them, vertex j being ids[j].  The
+    # 2-core: delete vertices of degree <= 1, round after round.
+    degree = [g.degree(v) for v in range(g.n)]
+    low = [v for v, d in enumerate(degree) if d <= 1]
+    for v in low:
+        for w in g.neighbors(v):
+            degree[w] -= 1
+            if degree[w] == 1:
+                low.append(w)
+    ids = [v for v, d in enumerate(degree) if d > 1]
     n = len(ids)
     if t > n:
         return None
-    if (t + 1) ** n > MAX_ASSIGNMENTS:
+    # (t+1)^n >= 2^n, which exceeds the limit once n passes its bit length.
+    if n > MAX_ASSIGNMENTS.bit_length() or (t + 1) ** n > MAX_ASSIGNMENTS:
         raise BudgetExceeded(
             f"(t+1)^n = {t + 1}^{n} assignments exceeds the limit of {MAX_ASSIGNMENTS}"
         )
@@ -326,10 +334,9 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     @cache
     def live(mask: int) -> bool:
         # False when the peel shows g[mask] has treewidth <= t - 2, so no
-        # K_t minor.  For t <= 2 the peel would drop K_1 and K_2.  An odd
-        # search also calls mask dead when some t - 3 of its vertices leave
-        # g[mask] bipartite once deleted (see find_odd_expansion).
-        return t < 3 or peel(mask, t - 2).bit_count() >= t and not (odd and any(
+        # K_t minor.  An odd search also calls mask dead when some t - 3 of
+        # its vertices leave g[mask] bipartite once deleted (see find_odd_expansion).
+        return peel(mask, t - 2).bit_count() >= t and not (odd and any(
             _bipartite(adj, mask ^ sum(cut))
             for cut in combinations([1 << v for v in range(n) if mask >> v & 1], t - 3)
         ))
@@ -460,6 +467,15 @@ def _spread(adj: list[int], bits: int) -> int:
     return out
 
 
+def _members(mask: int) -> frozenset[int]:
+    """The vertices of ``mask``, found one set bit at a time, not by a scan of every position."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1  # drops the lowest set bit
+    return frozenset(out)
+
+
 def _flip_solver(t: int):
     """A parity union-find over t trees: find(s) gives s's root, the least
     tree of its component, which stays unflipped, and flip[s] ^ flip[root];
@@ -492,7 +508,7 @@ def _class_colorings(g: Graph, spend, mask: int) -> list[dict[int, int]]:
     least vertex, whose bichromatic edges connect it: its breadth-first depth
     parity, then, only if cls is not bipartite (a bipartite class has no
     other), the rest in binary order; each one tried calls ``spend()`` first."""
-    cls = frozenset(v for v in range(g.n) if mask >> v & 1)
+    cls = _members(mask)
     low, *rest = sorted(cls)
     spend()
     out = [_depth_parity(_bfs(g.neighbors, low, cls))]
@@ -512,7 +528,7 @@ def _bichromatic(g: Graph, color: dict[int, int]):
 
 def _certify(g: Graph, class_masks: list[int], odd: bool, spend=lambda: None, colorings=None):
     t = len(class_masks)
-    classes = [frozenset(v for v in range(g.n) if m >> v & 1) for m in class_masks]
+    classes = list(map(_members, class_masks))
     # Every edge between the two trees of a pair, least first.
     cross = {
         (a, b): sorted(

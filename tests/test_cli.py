@@ -556,6 +556,17 @@ class TestBudgets:
         assert (code, out) == (3, "")
         assert err == "error: (t+1)^n = 4^7200 assignments exceeds the limit of 100000000\n"
 
+    @pytest.mark.parametrize("command,t", [("find-minor", "2"), ("find-odd-minor", "1")])
+    def test_k1_and_k2_answer_past_the_size_limit(self, command, t, tmp_path):
+        # No search runs at t <= 2, so C30 answers, though 3^30 and 2^30 maps
+        # of its 2-core exceed the limit, and --max-nodes 0 does not refuse it.
+        graph = run(["gen", "cycle", "30"])[1]
+        code, out, err = run([command, "-t", t, "--max-nodes", "0"], stdin_text=graph)
+        assert (code, err) == (0, "")
+        assert out.startswith({"2": "trees 2\nT 1: 28 /\nT 2: 29 /\n", "1": "trees 1\nT 1: 29 /\n"}[t])
+        (tmp_path / "cert.txt").write_text(out)
+        assert run(["verify", "--cert", str(tmp_path / "cert.txt")], stdin_text=graph) == (0, "PASS\n", "")
+
     @pytest.mark.parametrize("command", ["find-minor", "find-odd-minor"])
     def test_size_limit_reads_the_2_core(self, command, tmp_path):
         # A triangle with a 20-vertex pendant path: 4^23 maps of all its

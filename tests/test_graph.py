@@ -29,7 +29,7 @@ from oddminors import (
     verify_partition,
 )
 from corpus import small_corpus
-from oddminors.graph import detect_format, parse_dimacs, parse_edge_list, splitmix64
+from oddminors.graph import splitmix64
 from oracles import (
     FrozenGraph,
     SortedView,
@@ -84,50 +84,49 @@ class TestGraph:
 
 
 class TestParsing:
+    """parse_graph reads DIMACS when the first non-whitespace character is
+    ``p`` or ``c``, and an edge list otherwise."""
+
     def test_edge_list(self):
-        g = parse_edge_list("# a triangle\n3\n0 1\n\n1 2\n0 2\n")
+        g = parse_graph("# a triangle\n3\n0 1\n\n1 2\n0 2\n")
         assert g == complete(3)
 
     def test_edge_list_trailing_comments(self):
-        g = parse_edge_list("3  # vertices\n0 1 # note\n1 2\n0 2#\n")
+        g = parse_graph("3  # vertices\n0 1 # note\n1 2\n0 2#\n")
         assert g == complete(3)
 
     def test_edge_list_errors(self):
         with pytest.raises(ParseError):
-            parse_edge_list("")
+            parse_graph("")
         with pytest.raises(ParseError):
-            parse_edge_list("two\n")
+            parse_graph("two\n")
         with pytest.raises(ParseError):
-            parse_edge_list("2\n0 1 2\n")
+            parse_graph("2\n0 1 2\n")
         with pytest.raises(ParseError):
-            parse_edge_list("2\n0 5\n")
+            parse_graph("2\n0 5\n")
 
     def test_dimacs_remaps_to_zero_based(self):
-        g = parse_dimacs("c comment\np edge 3 2\ne 1 2\ne 2 3\n")
+        g = parse_graph("c comment\np edge 3 2\ne 1 2\ne 2 3\n")
         assert g.sorted_edges() == [(0, 1), (1, 2)]
 
     def test_dimacs_errors(self):
         with pytest.raises(ParseError):
-            parse_dimacs("e 1 2\n")
+            parse_graph("c x\ne 1 2\n")
         with pytest.raises(ParseError):
-            parse_dimacs("p edge 3 1\ne 0 1\n")
-
-    def test_detect_format(self):
-        assert detect_format("p edge 2 1\ne 1 2\n") == "dimacs"
-        assert detect_format("c foo\np edge 2 0\n") == "dimacs"
-        assert detect_format("2\n0 1\n") == "edge-list"
+            parse_graph("p edge 3 1\ne 0 1\n")
 
     def test_parse_graph_auto(self):
         assert parse_graph("p edge 2 1\ne 1 2\n") == Graph(2, [(0, 1)])
+        assert parse_graph("c foo\np edge 2 0\n") == Graph(2)
         assert parse_graph("2\n0 1\n") == Graph(2, [(0, 1)])
 
     @given(graphs())
     def test_edge_list_round_trip(self, g):
-        assert parse_edge_list(render_edge_list(g)) == g
+        assert parse_graph(render_edge_list(g)) == g
 
     @given(graphs())
     def test_dimacs_round_trip(self, g):
-        assert parse_dimacs(render_dimacs(g)) == g
+        assert parse_graph(render_dimacs(g)) == g
 
     @given(graphs(), st.data())
     def test_detected_round_trip_after_blank_and_comment_lines(self, g, data):
@@ -324,12 +323,12 @@ def dimacs_text(n, edges):
 
 
 def assert_same_everywhere(n, edges):
-    """Constructor and both parsers agree with the frozen copies on one input."""
+    """The constructor, and parse_graph on both formats, agree with the frozen copies on one input."""
     assert_same_graph(Graph(n, edges), FrozenGraph(n, edges))
     text = edge_list_text(n, edges)
-    assert_same_graph(parse_edge_list(text), frozen_parse_edge_list(text))
+    assert_same_graph(parse_graph(text), frozen_parse_edge_list(text))
     text = dimacs_text(n, edges)
-    assert_same_graph(parse_dimacs(text), frozen_parse_dimacs(text))
+    assert_same_graph(parse_graph(text), frozen_parse_dimacs(text))
 
 
 def messy_edges(n, m, seed):
@@ -376,9 +375,9 @@ GOLDEN_ERRORS = [
     ('edge-list', '3\n0 1\x0c1 x\n', "line 3: expected integer, got 'x'"),
     ('edge-list', '3\n0 1\n1 2\n2 0\n0 3\n', 'line 5: vertex id out of range for n=3'),
     ('edge-list', '3\n0 1\n0 1\n1 2 # x\n2 2\n', 'line 5: self-loop at vertex 2'),
-    ('dimacs', '', "missing 'p edge n m' header"),
+    ('dimacs', 'c x\n', "missing 'p edge n m' header"),
     ('dimacs', 'c hi\n', "missing 'p edge n m' header"),
-    ('dimacs', 'e 1 2\n', "line 1: edge before 'p edge' header"),
+    ('dimacs', 'c x\ne 1 2\n', "line 2: edge before 'p edge' header"),
     ('dimacs', 'p edge 3 1\ne 0 1\n', 'line 2: vertex id out of range for n=3'),
     ('dimacs', 'p edge 3 1\np edge 3 1\n', 'line 2: duplicate problem line'),
     ('dimacs', 'p col 3 1\n', "line 1: expected 'p edge n m', got 'p col 3 1'"),
@@ -411,9 +410,7 @@ FUZZ_ARTIFACTS = [
     "conn 1 2 : 2 3\nconn 1 3 : 0 4\nconn 2 3 : 3 4\nparity 0 : 1\nparity 1 : 2\n",
 ]
 PARSERS = {
-    "auto": parse_graph,
-    "edge-list": parse_edge_list,
-    "dimacs": parse_dimacs,
+    "graph": parse_graph,
     "partition": parse_partition,
     "coloring": parse_coloring,
     "quotient": parse_quotient,
@@ -491,15 +488,20 @@ def outcome(parse, text):
 
 
 class TestAgainstFrozenLineRules:
-    """Format detection and the certificate parser against their frozen
-    copies, which split the text into lines themselves."""
+    """The graph and certificate parsers against their frozen copies, which
+    split the text into lines themselves."""
 
-    @given(st.lists(st.sampled_from(FUZZ_TOKENS + [
-        "\t", "\x0b", "\x1c", "\x1f", "\x85", "\u2028", "\xa0", "\r\n",
-    ]), max_size=40).map("".join))
+    @given(st.one_of(
+        st.lists(st.sampled_from(FUZZ_TOKENS + [
+            "\t", "\x0b", "\x1c", "\x1f", "\x85", "\u2028", "\xa0", "\r\n",
+        ]), max_size=40).map("".join),
+        near_artifacts(FUZZ_ARTIFACTS[:2]),
+    ).filter(lambda t: not _LONG_NUMBER.search(t)))
     @settings(max_examples=400)
-    def test_detect_format(self, text):
-        assert detect_format(text) == frozen_detect_format(text)
+    def test_parse_graph(self, text):
+        # The frozen parser of the format that the frozen detection picks.
+        frozen = frozen_parse_dimacs if frozen_detect_format(text) == "dimacs" else frozen_parse_edge_list
+        assert outcome(parse_graph, text) == outcome(frozen, text)
 
     @given(sometimes_shuffled(st.one_of(
         st.just(FUZZ_ARTIFACTS[-1]), near_artifacts(FUZZ_ARTIFACTS[-1:]), near_artifacts(), token_texts,
@@ -569,13 +571,10 @@ class TestAgainstFrozenGraph:
 
     @pytest.mark.parametrize("fmt,text,message", GOLDEN_ERRORS)
     def test_golden_parse_errors(self, fmt, text, message):
-        parse, frozen = {
-            "edge-list": (parse_edge_list, frozen_parse_edge_list),
-            "dimacs": (parse_dimacs, frozen_parse_dimacs),
-        }[fmt]
-        # parse_graph gives the same error wherever its detection picks fmt.
-        detected = [parse_graph] if detect_format(text) == fmt else []
-        for f in (parse, frozen, *detected):
+        # Each text is read as fmt, and parse_graph gives the frozen parser's error.
+        assert frozen_detect_format(text) == fmt
+        frozen = {"edge-list": frozen_parse_edge_list, "dimacs": frozen_parse_dimacs}[fmt]
+        for f in (parse_graph, frozen):
             with pytest.raises(ParseError) as exc:
                 f(text)
             assert str(exc.value) == message

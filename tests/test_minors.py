@@ -1,6 +1,7 @@
 """Expansion finders (with their pruning) and the independent verifiers."""
 
 import random
+import time
 from itertools import permutations
 from math import comb
 
@@ -252,6 +253,42 @@ class TestFindExpansion:
             assert (t + 1) ** g.n > minors.MAX_ASSIGNMENTS
             assert finder(g, t) is None
 
+    def test_k1_and_k2_need_no_search(self):
+        # No node and no size limit at t <= 2: C30 has 3^30 and 2^30 maps.
+        g = cycle(30)
+        for t in (1, 2):
+            for odd, finder in ((False, find_expansion), (True, find_odd_expansion)):
+                answer, nodes = count_calls(lambda: finder(g, t, max_nodes=0), minors, "spend")
+                assert nodes == 0
+                assert answer == frozen_search(g, t, 10**100, odd, frozen_certify), (t, odd)
+        assert [tr.vertices for tr in find_expansion(g, 2).trees] == [{28}, {29}]
+        assert [tr.vertices for tr in find_odd_expansion(g, 1).base.trees] == [{29}]
+        assert find_expansion(Graph(0), 1) is None and find_odd_expansion(Graph(5), 2) is None
+
+    def test_k1_and_k2_match_the_frozen_search(self):
+        # 3,000 seeded G(1-10, p), at t = 1 and 2, plain and odd: 12,000 requests.
+        for seed in range(3000):
+            rng = random.Random(seed)
+            g = gnp(rng.randint(1, 10), rng.random(), seed)
+            for t in (1, 2):
+                for odd, finder in ((False, find_expansion), (True, find_odd_expansion)):
+                    want = frozen_search(g, t, BUDGET, odd, frozen_certify)
+                    assert finder(g, t) == want, (g.sorted_edges(), t, odd)
+
+    def test_certificate_time_does_not_grow_with_n(self):
+        # A triangle hung at the end of a 300,000-vertex path: its 2-core is
+        # the triangle.  Building each class by testing all n bit positions
+        # shifts an n-bit int n times, seconds at this n; walking the set
+        # bits costs the same at any n.
+        n = 300_002
+        g = Graph(n, [(v, v + 1) for v in range(n - 2)] + [(n - 3, n - 1), (n - 2, n - 1)])
+        for finder in (find_expansion, find_odd_expansion):
+            start = time.process_time()
+            cert = finder(g, 3)
+            assert time.process_time() - start < 1.5, finder.__name__
+            base = cert.base if finder is find_odd_expansion else cert
+            assert [tr.vertices for tr in base.trees] == [{n - 3}, {n - 2}, {n - 1}]
+
     def test_t_must_be_positive(self):
         with pytest.raises(ContractViolation):
             find_expansion(complete(3), 0)
@@ -272,6 +309,21 @@ class TestFindExpansion:
             find_expansion(cycle(9), 3)
         monkeypatch.setattr(minors, "MAX_ASSIGNMENTS", 4**9)
         assert find_expansion(cycle(9), 3) is not None
+        # The 2-core's order is tested against the limit's bit length before
+        # (t+1)^c is computed, and the refusal stays exact for any limit.
+        for limit in (1, 2, 3, 4**9 - 1, 4**9, 2**27, 2**27 - 1):
+            monkeypatch.setattr(minors, "MAX_ASSIGNMENTS", limit)
+            for c in range(3, 30):
+                for t in (3, c):
+                    if (t + 1) ** c > limit:
+                        with pytest.raises(BudgetExceeded, match=rf"\(t\+1\)\^n = {t + 1}\^{c} "):
+                            find_expansion(cycle(c), t)
+                    else:
+                        find_expansion(cycle(c), t)
+        monkeypatch.undo()
+        with pytest.raises(BudgetExceeded) as exc:
+            find_odd_expansion(cycle(3000), 3000)
+        assert str(exc.value) == "(t+1)^n = 3001^3000 assignments exceeds the limit of 100000000"
 
     @pytest.mark.parametrize(
         "finder,g,t,searches,nodes",
@@ -480,7 +532,8 @@ class TestSearchAgainstFrozen:
 
     @pytest.mark.parametrize("name,g", small_corpus(8) + SEARCH_GRAPHS)
     def test_same_valid_maps_in_the_same_order(self, name, g, monkeypatch):
-        for t in (2, 3, 4, 5):
+        # From t = 3: below it no search runs (see TestFindExpansion's K1 and K2 tests).
+        for t in (3, 4, 5):
             new, record = recorder()
             monkeypatch.setattr(minors, "_certify", record)
             assert find_expansion(g, t) is None
