@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, pairwise
+from operator import eq
 
 from ._record import Record
 from .errors import ParseError, StructureError
@@ -112,16 +113,18 @@ class Graph:
 class TwoSides(Record):
     """The two sides of the unique bipartition of a connected subgraph.
 
-    Canonical orientation: the lowest vertex id of the subset is in
-    ``side_a``.  No edge runs inside either side.
+    Each side is a tuple of vertex ids in ascending order; the one empty
+    side is ``()``.  Canonical orientation: the lowest vertex id of the
+    subset is in ``side_a``.  No edge runs inside either side.
     """
 
-    side_a: frozenset[int]
-    side_b: frozenset[int]
+    side_a: tuple[int, ...]
+    side_b: tuple[int, ...]
 
     @property
     def members(self) -> frozenset[int]:
-        return self.side_a | self.side_b
+        """Both sides as one set, built on each call."""
+        return frozenset(self.side_a).union(self.side_b)
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +181,11 @@ def _parse_ids(field: str, parse: Callable[[str], object] = int) -> list:
     return [parse(tok) for tok in field.split(",")] if field else []
 
 
-_NO_IDS: frozenset[int] = frozenset()  # the one empty set all sides and parsed fields share
-
-
-def _side(ids: list[int]) -> frozenset[int]:
-    return frozenset(ids) if ids else _NO_IDS
-
-
-def _distinct(items: list, repeated: str) -> frozenset:
-    """``items`` as a set; a repeat is ``ParseError(repeated)``, the item put in for ``{}``."""
-    out = _side(items)
-    if len(out) < len(items):
+def _distinct(items: list, repeated: str) -> tuple:
+    """``items`` as an ascending tuple; a repeat is ``ParseError(repeated)``,
+    the first item that repeats an earlier one put in for ``{}``."""
+    out = tuple(sorted(items))
+    if any(map(eq, out, out[1:])):
         seen = set()
         for x in items:
             if x in seen:

@@ -318,14 +318,14 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         # What is left of g[mask] once each vertex of degree <= k is deleted
         # and its neighbours are joined into a clique, until none is left.
         nbr = adj[:]
-        todo = [v for v in range(n) if mask >> v & 1]
+        todo = _bits(mask)
         while todo:
             v = todo.pop()
             near = nbr[v] & mask
             if not mask >> v & 1 or near.bit_count() > k:
                 continue
             mask ^= 1 << v
-            around = [w for w in range(n) if near >> w & 1]
+            around = _bits(near)
             for w in around:
                 nbr[w] |= near ^ 1 << w
             todo += around
@@ -338,7 +338,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
         # its vertices leave g[mask] bipartite once deleted (see find_odd_expansion).
         return peel(mask, t - 2).bit_count() >= t and not (odd and any(
             _bipartite(adj, mask ^ sum(cut))
-            for cut in combinations([1 << v for v in range(n) if mask >> v & 1], t - 3)
+            for cut in combinations([1 << v for v in _bits(mask)], t - 3)
         ))
 
     full = (1 << n) - 1
@@ -467,13 +467,13 @@ def _spread(adj: list[int], bits: int) -> int:
     return out
 
 
-def _members(mask: int) -> frozenset[int]:
-    """The vertices of ``mask``, found one set bit at a time, not by a scan of every position."""
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending, found one at a time, not by a scan of every position."""
     out = []
     while mask:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1  # drops the lowest set bit
-    return frozenset(out)
+    return out
 
 
 def _flip_solver(t: int):
@@ -508,7 +508,7 @@ def _class_colorings(g: Graph, spend, mask: int) -> list[dict[int, int]]:
     least vertex, whose bichromatic edges connect it: its breadth-first depth
     parity, then, only if cls is not bipartite (a bipartite class has no
     other), the rest in binary order; each one tried calls ``spend()`` first."""
-    cls = _members(mask)
+    cls = frozenset(_bits(mask))
     low, *rest = sorted(cls)
     spend()
     out = [_depth_parity(_bfs(g.neighbors, low, cls))]
@@ -528,7 +528,7 @@ def _bichromatic(g: Graph, color: dict[int, int]):
 
 def _certify(g: Graph, class_masks: list[int], odd: bool, spend=lambda: None, colorings=None):
     t = len(class_masks)
-    classes = list(map(_members, class_masks))
+    classes = [frozenset(_bits(m)) for m in class_masks]
     # Every edge between the two trees of a pair, least first.
     cross = {
         (a, b): sorted(
@@ -623,8 +623,8 @@ def parse_certificate(text: str) -> ExpansionCertificate | OddExpansionCertifica
                 if int(head.split()[1]) != len(trees) + 1:
                     raise ParseError("tree labels must be 1,2,... in order")
                 vpart, _, epart = rest.partition("/")
-                verts = _distinct(_parse_ids(vpart.strip()), "vertex {} repeated")
-                edges = _distinct(_parse_ids(epart.strip(), _tree_edge), "edge {0[0]}-{0[1]} repeated")
+                verts = frozenset(_distinct(_parse_ids(vpart.strip()), "vertex {} repeated"))
+                edges = frozenset(_distinct(_parse_ids(epart.strip(), _tree_edge), "edge {0[0]}-{0[1]} repeated"))
                 trees.append(ExpansionTree(verts, edges))
             elif kind == 2:
                 pair_part, edge_part = line[len("conn "):].split(":")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._record import Record, VerificationReport
 from .errors import ParseError
-from .graph import Graph, TwoSides, _distinct, _parse_ids, _Reader, _side
+from .graph import Graph, TwoSides, _distinct, _parse_ids, _Reader
 
 
 class BcpPartition(Record):
@@ -24,6 +24,7 @@ class BcpPartition(Record):
         return len(self.parts)
 
     def members(self, i: int) -> frozenset[int]:
+        """The vertices of part i as a set, built on each call from its two sides."""
         return self.parts[i].members
 
 
@@ -79,7 +80,7 @@ def compute_partition(g: Graph) -> BcpPartition:
                     seen[w] |= bit
         for v in touched:
             seen[v] = 0
-        parts.append(TwoSides(_side(sides[0]), _side(sides[1])))
+        parts.append(TwoSides(tuple(sorted(sides[0])), tuple(sorted(sides[1]))))
         while seed < n and not unused[seed]:
             seed += 1
     return BcpPartition(tuple(parts))
@@ -94,88 +95,99 @@ def verify_partition(g: Graph, p: BcpPartition) -> VerificationReport:
     (u1, u2 on opposite sides of the lower part, common neighbor v in the
     higher part).
 
-    One pass over the parts fills flat per-vertex arrays: the first part
-    holding each vertex and its side there.  Then each part is checked in
-    turn, clause by clause in the order they are reported, against its own
-    two sides: a traversal with a stamp array shared by all parts counts its
-    components, and its same-side edges are named in sorted order.  One
-    pass over the vertices finds the witness triples.  Beyond the failures
-    and the triples it allocates O(n) words, and no set of members per
-    part, in O((n + m) log n) time.
+    One pass over the parts checks each in turn, clause by clause in the
+    order they are reported.  Membership is read from two flat per-vertex
+    arrays that a part fills as its ids are read: the last part holding
+    each vertex, and its side bits there.  A vertex on both sides, or held
+    by an earlier part, shows up while filling them.  One traversal per
+    part then counts its components and names its same-side edges, in
+    sorted order; one pass over the vertices finds the witness triples.
+    Beyond the failures and the triples it allocates O(n) words, and no
+    set of members per part, in O((n + m) log n) time.
     """
     return VerificationReport(_check_partition(g, p)[0])
 
 
-_A, _B = 1, 2  # side bits
+_A, _B, _SEEN = 1, 2, 4  # side bits, and the bit a part's traversal sets on each vertex it reaches
 
 
 def _check_partition(
     g: Graph, p: BcpPartition
-) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[int, int, int] | None]]:
-    """The failures ``verify_partition`` reports, and the witness map.
+) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[int, int, int] | None], list[int], bytearray]:
+    """The failures ``verify_partition`` reports, the witness map, and the
+    arrays ``part_of`` and ``side``.
 
-    The witness map (see ``_witness_triples``) is computed only when every
-    structural clause holds, and is empty otherwise.
+    Once every clause holds, ``part_of[v]`` is the part holding vertex v and
+    ``side[v] & _B`` tells its side there.  The witness map (see
+    ``_witness_triples``) is computed only then, and is empty otherwise.
     """
-    n = g.n
-    parts = p.parts
-    part_of = [-1] * n  # in-range vertex -> the first part holding it
-    side = bytearray(n)  # its side bit there, read only once the partition is valid
-    flagged: set[int] = set()  # parts holding an out-of-range or repeated vertex
-    for i, part in enumerate(parts):
-        for bit, members in ((_A, part.side_a), (_B, part.side_b)):
-            for v in members:
-                if not (0 <= v < n):
-                    flagged.add(i)
-                elif part_of[v] < 0:
-                    part_of[v] = i
-                    side[v] = bit
-                elif part_of[v] != i:
-                    flagged.add(i)
-
+    n, neighbors = g.n, g.neighbors
+    part_of = [-1] * n  # in-range vertex -> the last part so far holding it
+    side = bytearray(n)  # its side bits there, and _SEEN once that part's traversal reached it
+    first: dict[int, int] = {}  # vertex held by two parts -> the first of them
     failures: list[str] = []
-    stamp = [-1] * n  # part whose component count last reached the vertex
-    for i, part in enumerate(parts):
+    for i, part in enumerate(p.parts):
         side_a, side_b = part.side_a, part.side_b
         if not side_a and not side_b:
             failures.append(f"part {i} is empty")
             continue
-        if i in flagged:
-            for v in sorted(side_a | side_b):
+        overlap = False
+        outside: dict[int, int] = {}  # out-of-range id -> the first side bit holding it
+        repeated: list[int] = []  # in-range ids an earlier part holds
+        bit = _A
+        for ids in (side_a, side_b):
+            for v in ids:
                 if not (0 <= v < n):
-                    failures.append(f"part {i}: vertex {v} out of range")
-                elif part_of[v] != i:
-                    failures.append(f"vertex {v} appears in parts {part_of[v]} and {i}")
-        if not side_a.isdisjoint(side_b):
+                    overlap |= outside.setdefault(v, bit) != bit
+                    continue
+                j = part_of[v]
+                if j == i:
+                    overlap |= side[v] != bit
+                    side[v] |= bit
+                    continue
+                if j >= 0:
+                    first.setdefault(v, j)
+                    repeated.append(v)
+                part_of[v] = i
+                side[v] = bit
+            bit = _B
+        for v in sorted([*outside, *repeated]):
+            if v in outside:
+                failures.append(f"part {i}: vertex {v} out of range")
+            else:
+                failures.append(f"vertex {v} appears in parts {first[v]} and {i}")
+        if overlap:
             failures.append(f"part {i}: sides overlap")
         comps = 0
-        for members in (side_a, side_b):
-            for root in members:
-                if not (0 <= root < n) or stamp[root] == i:
+        same = []
+        for ids in (side_a, side_b):
+            for root in ids:
+                if not (0 <= root < n) or side[root] >= _SEEN:
                     continue
                 comps += 1
-                stamp[root] = i
+                side[root] |= _SEEN
                 stack = [root]
                 while stack:
-                    for w in g.neighbors(stack.pop()):
-                        if stamp[w] != i and (w in side_a or w in side_b):
-                            stamp[w] = i
-                            stack.append(w)
+                    u = stack.pop()
+                    bits = side[u] & (_A | _B)
+                    for w in neighbors(u):
+                        if part_of[w] == i:
+                            s = side[w]
+                            if s & bits and u < w:
+                                same.append((u, w))
+                            if s < _SEEN:  # _SEEN is the highest bit
+                                side[w] = s | _SEEN
+                                stack.append(w)
         if comps != 1:
             failures.append(f"part {i}: induces {comps} components, expected 1")
-        same = {
-            (u, v) for s in (side_a, side_b) for u in s if 0 <= u < n for v in g.neighbors(u) if u < v and v in s
-        }
-        if same:
-            failures.extend(f"part {i}: edge ({u}, {v}) joins two vertices on one side" for u, v in sorted(same))
+        failures.extend(f"part {i}: edge ({u}, {v}) joins two vertices on one side" for u, v in sorted(same))
         if not side_a or (side_b and min(side_b) < min(side_a)):
             failures.append(f"part {i}: lowest vertex not on side A")
 
-    missing = [v for v in range(n) if part_of[v] < 0]
-    if missing:
-        failures.append(f"uncovered vertices: {missing}")
+    if -1 in part_of:
+        failures.append(f"uncovered vertices: {[v for v in range(n) if part_of[v] < 0]}")
     if failures:
-        return tuple(failures), {}
+        return tuple(failures), {}, part_of, side
 
     triples = _witness_triples(g, part_of, side)
     for (i, j), triple in triples.items():
@@ -183,7 +195,7 @@ def _check_partition(
             failures.append(
                 f"parts ({i}, {j}) are joined by an edge but admit no witness triple"
             )
-    return tuple(failures), triples
+    return tuple(failures), triples, part_of, side
 
 
 def _witness_triples(
@@ -196,10 +208,10 @@ def _witness_triples(
     side B of part i, and v in part j adjacent to both; the least is the
     least by (v, u1, u2).  The partition must be valid for g: ``part_of``
     maps each vertex to its part, and ``side`` holds exactly one of ``_A``,
-    ``_B`` per vertex.  One pass over the vertices in ascending id: the
-    first v of part j that has neighbors on both sides of part i is the
-    least such v, and its least neighbor on each side comes first in its
-    ascending adjacency.
+    ``_B`` per vertex, beside ``_SEEN``.  One pass over the vertices in
+    ascending id: the first v of part j that has neighbors on both sides of
+    part i is the least such v, and its least neighbor on each side comes
+    first in its ascending adjacency.
     """
     triples: dict[tuple[int, int], tuple[int, int, int] | None] = {}
     for v in range(g.n):
@@ -208,7 +220,7 @@ def _witness_triples(
         for w in g.neighbors(v):
             i = part_of[w]
             if i < j and triples.setdefault((i, j), None) is None:
-                least[side[w] == _B].setdefault(i, w)
+                least[(side[w] & _B) > 0].setdefault(i, w)
         for i, u1 in least[0].items():
             u2 = least[1].get(i)
             if u2 is not None:
@@ -221,16 +233,15 @@ def _witness_triples(
 
 
 def render_partition(p: BcpPartition) -> str:
-    lines = []
-    for i, part in enumerate(p.parts):
-        a = ",".join(str(v) for v in sorted(part.side_a))
-        b = ",".join(str(v) for v in sorted(part.side_b))
-        lines.append(f"{i}: A={a} B={b}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        f"{i}: A={','.join(map(str, part.side_a))} B={','.join(map(str, part.side_b))}\n"
+        for i, part in enumerate(p.parts)
+    )
 
 
 def parse_partition(text: str) -> BcpPartition:
-    """Inverse of ``render_partition``.  An id may not repeat within a side
+    """Inverse of ``render_partition``.  Each side is read into ascending
+    order (``A=2,0`` gives ``(0, 2)``).  An id may not repeat within a side
     field; one id on both sides of a part parses, and fails verification."""
     parts: list[TwoSides] = []
     with _Reader(text, "#", "expected 'i: A=<ids> B=<ids>'") as lines:

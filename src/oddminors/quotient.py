@@ -10,7 +10,7 @@ from __future__ import annotations
 from ._record import Record, VerificationReport
 from .errors import ParseError, StructureError
 from .graph import Graph, _graph_items, _Reader, render_edge_list
-from .partition import BcpPartition, _check_partition
+from .partition import _A, _B, BcpPartition, _check_partition
 
 
 class WitnessTriple(Record):
@@ -34,7 +34,7 @@ def build_quotient(g: Graph, p: BcpPartition) -> QuotientGraph:
     The partition is re-verified first; the stored witness for edge (i, j)
     is the least triple by (v, u1, u2) with u1 on side A of part i.
     """
-    failures, triples = _check_partition(g, p)
+    failures, triples, _, _ = _check_partition(g, p)
     if failures:
         raise StructureError("partition fails verification: " + "; ".join(failures))
     witnesses = {pair: WitnessTriple(*triple) for pair, triple in triples.items()}
@@ -50,12 +50,18 @@ def verify_quotient(g: Graph, q: QuotientGraph) -> VerificationReport:
     loops and parallel edges: its edges are the part pairs that the
     partition check finds joined in g.  A witness (u1, u2, v) for edge
     (i, j) needs u1 on side A and u2 on side B of part i, and v a common
-    neighbor of both inside part j.
+    neighbor of both inside part j: the partition check's per-vertex arrays
+    tell where each vertex sits, so no part is searched.
     """
     p = q.partition
-    invalid, joined = _check_partition(g, p)
+    invalid, joined, part_of, side = _check_partition(g, p)
     if invalid:
         return VerificationReport(invalid)
+
+    def sits(v: int, i: int, bits: int) -> bool:
+        # Whether vertex v lies in part i, on a side among ``bits``.
+        return 0 <= v < g.n and part_of[v] == i and (side[v] & bits) > 0
+
     failures: list[str] = []
     h_edges = q.h.sorted_edges()
     if q.h.n != len(p):
@@ -67,12 +73,11 @@ def verify_quotient(g: Graph, q: QuotientGraph) -> VerificationReport:
         if not (0 <= i < len(p) and 0 <= j < len(p)) or i >= j:
             failures.append(f"witness for ({i}, {j}): not an ordered part pair")
             continue
-        part_i, part_j = p.parts[i], p.parts[j]
-        if w.u1 not in part_i.side_a:
+        if not sits(w.u1, i, _A):
             failures.append(f"witness for ({i}, {j}): {w.u1} not on side A of part {i}")
-        elif w.u2 not in part_i.side_b:
+        elif not sits(w.u2, i, _B):
             failures.append(f"witness for ({i}, {j}): {w.u2} not on side B of part {i}")
-        elif w.v not in part_j.members:
+        elif not sits(w.v, j, _A | _B):
             failures.append(f"witness for ({i}, {j}): {w.v} not in part {j}")
         elif not (g.has_edge(w.u1, w.v) and g.has_edge(w.u2, w.v)):
             failures.append(

@@ -258,6 +258,8 @@ def count_calls(run: Callable[[], object], module, name: str = "search") -> tupl
 # The two public bodies are verbatim, and so are the helpers they call, less
 # a range check their filtered input cannot trip, so the current code can be
 # held to their exact output, failure messages and their order included.
+# They build and read frozenset sides; ``frozenset_sides`` gives them that
+# view of a partition whose sides are the package's ascending tuples.
 
 
 def frozen_compute_partition(g: Graph) -> BcpPartition:
@@ -619,6 +621,18 @@ class SortedView(Graph):
 
     def __init__(self, g: Graph) -> None:
         self.n, self._adj, self.edges = g.n, g._adj, g.sorted_edges()
+
+
+def frozenset_sides(p: BcpPartition) -> BcpPartition:
+    """``p`` with each side a frozenset of the same ids.
+
+    The frozen partition copies above take the sides they build and read
+    for frozensets: the verifier intersects a part's two sides with ``&``,
+    which tuples lack.  Run on this view of ``p``, it reads the ids ``p``
+    holds; and the frozen ``compute_partition``'s output equals the view of
+    the package's.
+    """
+    return BcpPartition(tuple(TwoSides(frozenset(part.side_a), frozenset(part.side_b)) for part in p.parts))
 
 
 def frozen_parse_edge_list(text: str) -> FrozenGraph:

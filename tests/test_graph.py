@@ -12,6 +12,7 @@ from oddminors import (
     Graph,
     ParseError,
     StructureError,
+    TwoSides,
     complete,
     complete_bipartite,
     compute_partition,
@@ -38,6 +39,7 @@ from oracles import (
     frozen_parse_dimacs,
     frozen_parse_edge_list,
     frozen_verify_partition,
+    frozenset_sides,
 )
 
 MASK = (1 << 64) - 1
@@ -551,14 +553,14 @@ class TestAgainstFrozenGraph:
                 if sum(len(set(g.neighbors(v)) & part.members) for v in part.members) >= 4
             ]
             for i in rng.sample(inner, rng.randint(1, len(inner))):
-                parts[i] = type(parts[i])(parts[i].members, frozenset())
+                parts[i] = TwoSides(tuple(sorted(parts[i].members)), ())
             broken = BcpPartition(tuple(parts))
             report = verify_partition(g, broken)
-            assert report == frozen_verify_partition(SortedView(g), broken), seed
+            assert report == frozen_verify_partition(SortedView(g), frozenset_sides(broken)), seed
             named = [f for f in report.failures if f.endswith("joins two vertices on one side")]
             assert len(named) >= 2, seed
             assert named == sorted(named, key=lambda f: [int(x) for x in re.findall(r"\d+", f)]), seed
-            unsorted += report != frozen_verify_partition(FrozenGraph(n, edges), broken)
+            unsorted += report != frozen_verify_partition(FrozenGraph(n, edges), frozenset_sides(broken))
         assert unsorted >= 5
 
     def test_constructor_errors_unchanged(self):

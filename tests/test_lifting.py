@@ -111,7 +111,7 @@ class TestLiftExpansion:
         # A hand-built quotient whose part {0, 1, 3} is not connected in g:
         # the part's breadth-first tree cannot span it.
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        parts = (TwoSides(frozenset({0, 3}), frozenset({1})), TwoSides(frozenset({2}), frozenset()))
+        parts = (TwoSides((0, 3), (1,)), TwoSides((2,), ()))
         q = QuotientGraph(Graph(2, [(0, 1)]), {}, BcpPartition(parts))
         cert_h = ExpansionCertificate((ExpansionTree(frozenset({0}), frozenset()),), {})
         with pytest.raises(StructureError, match="induces a disconnected subgraph"):

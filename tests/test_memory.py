@@ -1,9 +1,10 @@
 """Structural memory layout of parsed and computed objects.
 
 No byte counts: these hold on every supported Python.  Records keep their
-fields in slots, every empty partition side is one shared frozenset, a
-parsed graph holds one int object per vertex id, and a graph holds only its
-adjacency, which serves every partition stage.
+fields in slots, every partition side is a tuple of ids in ascending order
+and every empty one is the shared ``()``, a parsed graph holds one int
+object per vertex id, and a graph holds only its adjacency, which serves
+every partition stage.
 """
 
 import copy
@@ -67,6 +68,18 @@ def test_every_empty_side_is_one_object(g3000):
              for side in (part.side_a, part.side_b) if not side]
     assert len(empty) > 100  # most parts of a sparse graph are lone vertices
     assert len({id(side) for side in empty}) == 1
+
+
+def test_sides_are_ascending_tuples(g3000):
+    computed = compute_partition(g3000)
+    parsed = parse_partition(render_partition(computed))
+    assert parsed == computed
+    empty = tuple()  # the one empty tuple object
+    for p in (computed, parsed):
+        sides = [side for part in p.parts for side in (part.side_a, part.side_b)]
+        assert {type(side) for side in sides} == {tuple}
+        assert all(list(side) == sorted(set(side)) for side in sides)
+        assert all(side is empty for side in sides if not side)
 
 
 @pytest.mark.parametrize("render", [render_edge_list, render_dimacs], ids=["edge-list", "dimacs"])

@@ -26,6 +26,7 @@ from oracles import (
     frozen_compute_partition,
     frozen_verify_partition,
     frozen_witnesses,
+    frozenset_sides,
     is_maximal_bipartite_connected,
 )
 
@@ -40,7 +41,22 @@ def graphs(draw, max_n=10):
 
 
 def sides(a, b):
-    return TwoSides(frozenset(a), frozenset(b))
+    return TwoSides(tuple(sorted(a)), tuple(sorted(b)))
+
+
+def assert_ascending_tuples(p):
+    for part in p.parts:
+        for side in (part.side_a, part.side_b):
+            assert type(side) is tuple and list(side) == sorted(set(side)), side
+
+
+def assert_reports_as_frozen(g, p, label=None):
+    """verify_partition's report on p, which the frozen verifier gives too,
+    and so does verify_partition on p with frozenset sides."""
+    report = verify_partition(g, p)
+    assert report == frozen_verify_partition(SortedView(g), frozenset_sides(p)), label
+    assert report == verify_partition(g, frozenset_sides(p)), label
+    return report
 
 
 def sparse_graph(n, m, seed):
@@ -101,15 +117,16 @@ def corruptions(g, p, seed):
 def assert_same_as_frozen(g):
     # The frozen verifier reads a view of g whose edges iterate in sorted
     # order, the order in which verify_partition names same-side edges.
+    # Each side is an ascending tuple, which the frozen copies read as a frozenset.
     p = compute_partition(g)
-    assert p == frozen_compute_partition(g)
-    assert verify_partition(g, p) == frozen_verify_partition(SortedView(g), p)
+    assert_ascending_tuples(p)
+    assert frozenset_sides(p) == frozen_compute_partition(g)
+    assert_reports_as_frozen(g, p)
     q = build_quotient(g, p)
-    assert {e: (w.u1, w.u2, w.v) for e, w in q.witnesses.items()} == frozen_witnesses(g, p)
+    assert {e: (w.u1, w.u2, w.v) for e, w in q.witnesses.items()} == frozen_witnesses(g, frozenset_sides(p))
     if g.n:
         for kind, broken in corruptions(g, p, g.n + g.m).items():
-            new, old = verify_partition(g, broken), frozen_verify_partition(SortedView(g), broken)
-            assert new == old, kind
+            assert_reports_as_frozen(g, broken, kind)
 
 
 def more_corruptions(g, p, seed):
@@ -160,6 +177,32 @@ def more_corruptions(g, p, seed):
             broken[there][z in parts[there][1]].add(x)
             out["repeated_same_side"] = broken
             break
+
+    # One out-of-range id on both sides of a part.
+    broken = copy()
+    x = rng.choice([-1, g.n, g.n + 3])
+    broken[home][0].add(x)
+    broken[home][1].add(x)
+    out["outside_both_sides"] = broken
+
+    # A vertex on both sides of its part, and held by another part too.
+    if len(parts) > 1:
+        broken = copy()
+        v = rng.randrange(g.n)
+        home = part_of[v]
+        broken[home][1 - (v in parts[home][1])].add(v)
+        broken[rng.choice([i for i in range(len(parts)) if i != home])][rng.randrange(2)].add(v)
+        out["overlap_and_repeat"] = broken
+
+    # A part of under 5 vertices that also claims a vertex of the giant part,
+    # a neighbor of its own where it has one.
+    small = [i for i in range(len(parts)) if i != giant and len(parts[i][0] | parts[i][1]) < 5]
+    if small and len(a | b) >= 5:
+        broken = copy()
+        i = rng.choice(small)
+        near = sorted(w for v in parts[i][0] | parts[i][1] for w in g.neighbors(v) if part_of[w] == giant)
+        broken[i][rng.randrange(2)].add(rng.choice(near or sorted(a | b)))
+        out["small_claims_giant"] = broken
     return {
         kind: BcpPartition(tuple(sides(a, b) for a, b in broken))
         for kind, broken in out.items()
@@ -169,8 +212,7 @@ def more_corruptions(g, p, seed):
 def assert_more_corruptions_as_frozen(g):
     p = compute_partition(g)
     for kind, broken in more_corruptions(g, p, g.n + g.m).items():
-        new = verify_partition(g, broken)
-        assert new == frozen_verify_partition(SortedView(g), broken), kind
+        new = assert_reports_as_frozen(g, broken, kind)
         assert not new.passed, kind
         with pytest.raises(StructureError, match="partition fails verification"):
             build_quotient(g, broken)
@@ -185,8 +227,8 @@ class TestComputePartition:
             frozenset({0, 1, 2, 3}),
             frozenset({4}),
         ]
-        assert p.parts[0].side_a == frozenset({0, 2})
-        assert p.parts[0].side_b == frozenset({1, 3})
+        assert p.parts[0].side_a == (0, 2)
+        assert p.parts[0].side_b == (1, 3)
 
     def test_k5_extracts_edges_then_leftover(self):
         p = compute_partition(complete(5))
@@ -199,7 +241,7 @@ class TestComputePartition:
     def test_even_cycle_is_one_part(self):
         p = compute_partition(cycle(8))
         assert len(p) == 1
-        assert p.parts[0].side_a == frozenset({0, 2, 4, 6})
+        assert p.parts[0].side_a == (0, 2, 4, 6)
 
     def test_edgeless_gives_singletons(self):
         p = compute_partition(Graph(4))
@@ -263,7 +305,9 @@ class TestMoreCorruptionsAgainstFrozenCopy:
     ``more_corruptions``: a same-side edge inside the largest part, an
     appended empty part, a least vertex on side B, a vertex on both sides
     of its part, and a vertex held by two parts with a same-side edge in
-    each."""
+    each; the same out-of-range id on both sides of a part, a vertex on
+    both sides of its part and in another part too, and a part of under 5
+    vertices that claims a vertex of the largest part."""
 
     @pytest.mark.parametrize("name,g", corpus())
     def test_corpus(self, name, g):
@@ -286,7 +330,7 @@ class TestMoreCorruptionsAgainstFrozenCopy:
         kinds = more_corruptions(g, compute_partition(g), 1)
         assert set(kinds) == {
             "empty_appended", "same_side_in_giant", "least_on_side_b", "overlap",
-            "repeated_same_side",
+            "repeated_same_side", "outside_both_sides", "overlap_and_repeat", "small_claims_giant",
         }
 
     def test_repeated_vertex_reports_both_parts(self):
@@ -294,8 +338,7 @@ class TestMoreCorruptionsAgainstFrozenCopy:
         # B with its neighbor 2 in part 1.
         g = Graph(3, [(0, 1), (1, 2)])
         broken = BcpPartition((sides([0, 1], []), sides([], [1, 2])))
-        report = verify_partition(g, broken)
-        assert report == frozen_verify_partition(SortedView(g), broken)
+        report = assert_reports_as_frozen(g, broken)
         assert "part 0: edge (0, 1) joins two vertices on one side" in report.failures
         assert "part 1: edge (1, 2) joins two vertices on one side" in report.failures
 
@@ -310,7 +353,7 @@ def part_lists(draw):
     own last parts, which with none drawn or replaced is valid."""
     g = draw(graphs(max_n=8))
     ids = st.frozensets(st.integers(min_value=-2, max_value=g.n + 1))
-    drawn = draw(st.lists(st.builds(TwoSides, ids, ids), max_size=4))
+    drawn = draw(st.lists(st.builds(sides, ids, ids), max_size=4))
     own = list(compute_partition(g).parts) if draw(st.booleans()) else []
     kept = draw(st.integers(min_value=0, max_value=len(own)))
     return g, BcpPartition(tuple(own[:kept] + drawn))
@@ -321,8 +364,7 @@ class TestArbitraryPartLists:
     @settings(max_examples=500)
     def test_same_report_as_frozen(self, case):
         g, p = case
-        report = verify_partition(g, p)
-        assert report == frozen_verify_partition(SortedView(g), p)
+        report = assert_reports_as_frozen(g, p)
         if report.passed:
             assert build_quotient(g, p).partition is p
         else:
@@ -413,6 +455,13 @@ class TestSerialization:
         for g in (cycle(5), complete(6), Graph(3), cycle(8)):
             p = compute_partition(g)
             assert parse_partition(render_partition(p)) == p
+
+    def test_sides_parse_into_ascending_order(self):
+        p = parse_partition("0: A=2,0 B=1")
+        assert p.parts[0].side_a == (0, 2)
+        assert p.parts[0].side_b == (1,)
+        assert render_partition(p) == "0: A=0,2 B=1\n"
+        assert verify_partition(Graph(3, [(0, 1), (1, 2)]), p).passed
 
     @given(graphs())
     @settings(max_examples=40)

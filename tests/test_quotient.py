@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import small_corpus
 from oddminors import (
@@ -48,7 +49,7 @@ class TestBuildQuotient:
         assert q.witnesses == {}
 
     def test_rejects_invalid_partition(self):
-        bad = BcpPartition((TwoSides(frozenset({0}), frozenset()),))
+        bad = BcpPartition((TwoSides((0,), ()),))
         with pytest.raises(StructureError):
             build_quotient(complete(3), bad)
 
@@ -126,6 +127,13 @@ class TestVerifyQuotient:
             ((1, 0), WitnessTriple(0, 3, 4), "witness for (1, 0): not an ordered part pair"),
             ((0, 2), WitnessTriple(0, 3, 4), "witness for (0, 2): not an ordered part pair"),
             ((0, 1), WitnessTriple(0, 2, 4), "witness for (0, 1): 2 not on side B of part 0"),
+            ((0, 1), WitnessTriple(4, 3, 4), "witness for (0, 1): 4 not on side A of part 0"),
+            ((0, 1), WitnessTriple(0, 3, 2), "witness for (0, 1): 2 not in part 1"),
+            # Ids outside 0..4 lie in no part, as an index from the end would.
+            ((0, 1), WitnessTriple(-5, 3, 4), "witness for (0, 1): -5 not on side A of part 0"),
+            ((0, 1), WitnessTriple(0, -2, 4), "witness for (0, 1): -2 not on side B of part 0"),
+            ((0, 1), WitnessTriple(0, 3, -1), "witness for (0, 1): -1 not in part 1"),
+            ((0, 1), WitnessTriple(0, 3, 5), "witness for (0, 1): 5 not in part 1"),
             (
                 (0, 1),
                 WitnessTriple(2, 3, 4),
@@ -140,6 +148,31 @@ class TestVerifyQuotient:
         doctored = {**q.witnesses, pair: witness}
         report = verify_quotient(cycle(5), type(q)(q.h, doctored, q.partition))
         assert failure in report.failures
+
+    @given(graphs(max_n=9), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_witness_clauses_read_the_sides(self, g, data):
+        # Doctored witnesses, ids drawn from -2..n+1, are named as a check of
+        # each id against the sides of its part would name them.
+        q = quotient_of(g)
+        parts = q.partition.parts
+        ids = st.integers(min_value=-2, max_value=g.n + 1)
+        doctored = dict(q.witnesses)
+        pairs = sorted(doctored)
+        for pair in data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ():
+            doctored[pair] = WitnessTriple(data.draw(ids), data.draw(ids), data.draw(ids))
+        expected = []
+        for (i, j), w in sorted(doctored.items()):
+            if w.u1 not in parts[i].side_a:
+                expected.append(f"witness for ({i}, {j}): {w.u1} not on side A of part {i}")
+            elif w.u2 not in parts[i].side_b:
+                expected.append(f"witness for ({i}, {j}): {w.u2} not on side B of part {i}")
+            elif w.v not in parts[j].members:
+                expected.append(f"witness for ({i}, {j}): {w.v} not in part {j}")
+            elif not (g.has_edge(w.u1, w.v) and g.has_edge(w.u2, w.v)):
+                expected.append(f"witness for ({i}, {j}): {w.v} is not a common neighbor of {w.u1} and {w.u2}")
+        report = verify_quotient(g, type(q)(q.h, doctored, q.partition))
+        assert list(report.failures) == expected
 
     def test_flags_missing_witness(self):
         q = quotient_of(complete(5))

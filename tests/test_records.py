@@ -20,7 +20,7 @@ from oddminors import (
     WitnessTriple,
 )
 
-SIDES = TwoSides(frozenset({0, 2}), frozenset({1}))
+SIDES = TwoSides((0, 2), (1,))
 PARTITION = BcpPartition((SIDES,))
 TREE = ExpansionTree(frozenset({0, 1}), frozenset({(0, 1)}))
 CERT = ExpansionCertificate((TREE,), {})
@@ -30,7 +30,7 @@ QUOTIENT = QuotientGraph(Graph(1), {}, PARTITION)
 SAMPLES = [
     (VerificationReport, {"failures": ("edge 0-1 is monochromatic",)}, True),
     (Coloring, {"colors": (0, 1, 0)}, True),
-    (TwoSides, {"side_a": frozenset({0, 2}), "side_b": frozenset({1})}, True),
+    (TwoSides, {"side_a": (0, 2), "side_b": (1,)}, True),
     (BcpPartition, {"parts": (SIDES,)}, True),
     (WitnessTriple, {"u1": 0, "u2": 2, "v": 1}, True),
     (ExpansionTree, {"vertices": frozenset({0, 1}), "edges": frozenset({(0, 1)})}, True),
