@@ -3,9 +3,9 @@
 A K_t-expansion is t vertex-disjoint trees plus one chosen connecting edge
 per tree pair.  The odd variant additionally carries a 2-coloring under
 which every tree edge is bichromatic and every connector monochromatic.
-Finders are exhaustive within a hard budget of search nodes, on graphs
-whose 2-core has at most MAX_ASSIGNMENTS branch-set maps (t <= 2 needs no
-search); verifiers check a certificate clause by clause and never trust the finder.
+Finders are exhaustive within a hard budget of search nodes and, as a size
+policy, take graphs whose 2-core has at most MAX_ASSIGNMENTS branch-set maps
+(t <= 2 needs no search); verifiers check a certificate clause by clause and never trust the finder.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from .errors import (
 )
 from .graph import Graph, _distinct, _parse_ids, _Reader
 
-# The search refuses (t+1)^c branch-set maps of its c vertices above this,
-# before it visits a node; it covers c=10 at t=5 (6^10 ~ 60.5M) and keeps
-# the recursive search at most 27 calls deep (c <= 26).
+# A size policy: the search refuses (t+1)^c branch-set maps of its c vertices
+# above this before it visits a node; it covers c=10 at t=5 (6^10 ~ 60.5M).
 MAX_ASSIGNMENTS = 100_000_000
 
 
@@ -394,6 +393,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     colorings = cache(partial(_class_colorings, g, spend))  # each class's list, by mask
 
     def search(i: int, mask: int, classes: list[tuple[int, int, int]]):
+        # One node: a leaf's _certify answer, or the feasible children in the order tried.
         # mask: the vertices not left unused, which hold every completion.
         spend()
         if i == n:
@@ -402,28 +402,20 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             masks = [sum(1 << v for j, v in enumerate(ids) if c >> j & 1) for c, _, _ in classes]
             return _certify(g, masks, odd, spend, colorings)
         bit = 1 << i
-        # i leaves the suffix, so only the reaches holding i can change; each
-        # is recomputed once here, whatever i is assigned to.
+        # i leaves the suffix, so only the reaches holding i change, each
+        # recomputed once here.  A class that falls apart without i gets the
+        # empty reach, which feasible() rejects in every child but the one adding i to it.
         cut = classes[:]
-        holders = []
-        broken = []
+        options = [-1]  # -1 leaves i unused, k < used adds it to class k, used opens a class
         for k, (c, r, _) in enumerate(classes):
             if r & bit:
                 reached, nbr = component(c & -c, r ^ bit)
-                cut[k] = c, reached, nbr
-                if c & ~reached:
-                    broken.append(k)
-                holders.append(k)
+                cut[k] = (c, 0, 0) if c & ~reached else (c, reached, nbr)
+                options.append(k)
         used = len(classes)
-        if broken:
-            # A class that falls apart without i can only continue by taking
-            # i, and i can mend only one class.
-            options = broken if len(broken) == 1 else ()
-        else:
-            # -1 leaves i unused, k < used adds it to class k, used opens a class.
-            options = [-1, *holders]
-            if used < t:
-                options.append(used)
+        if used < t:
+            options.append(used)
+        children = []
         for k in options:
             if k < 0:
                 child = cut
@@ -435,12 +427,18 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             else:
                 child = [*cut, (bit, *component(bit, full >> i << i))]
             if feasible(i, child) and (k >= 0 or live(mask & ~bit)):
-                out = search(i + 1, mask if k >= 0 else mask & ~bit, child)
-                if out is not None:
-                    return out
-        return None
+                children.append((i + 1, mask if k >= 0 else mask & ~bit, child))
+        return children
 
-    return search(0, full, []) if live(full) else None
+    # Children go on the stack last first, so nodes pop in depth-first order.
+    stack = [(0, full, [])] if live(full) else []
+    while stack:
+        out = search(*stack.pop())
+        if isinstance(out, list):
+            stack += reversed(out)
+        elif out is not None:
+            return out
+    return None
 
 
 def _bipartite(adj: list[int], mask: int) -> bool:

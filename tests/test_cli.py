@@ -301,6 +301,18 @@ class TestPipelineCommands:
         code, out, _ = run(["verify", "--cert", str(lifted)], stdin_text=C5)
         assert (code, out) == (0, "PASS\n")
 
+    def test_lift_of_a_failing_quotient_certificate_exits_1(self, tmp_path):
+        # The quotient of this graph has 3 vertices, so tree 2's vertex 5 is
+        # out of range: a certificate that fails its verifier is a structure
+        # error (exit 1), with one error line and nothing on stdout.
+        graph = run(["gen", "gnp", "12", "0.5", "--seed", "3"])[1]
+        quotient_cert = tmp_path / "qcert.txt"
+        quotient_cert.write_text("trees 2\nT 1: 0 /\nT 2: 5 /\nconn 1 2 : 0 5\n")
+        code, out, err = run(["lift", "--cert", str(quotient_cert)], stdin_text=graph)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: quotient certificate fails verification:")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_lift_rejects_odd_certificate(self, tmp_path):
         odd = tmp_path / "odd.txt"
         odd.write_text(run(["find-odd-minor", "-t", "2"], stdin_text=C5)[1])

@@ -1,6 +1,7 @@
 """Expansion finders (with their pruning) and the independent verifiers."""
 
 import random
+import sys
 import time
 from itertools import permutations
 from math import comb
@@ -288,6 +289,22 @@ class TestFindExpansion:
             assert time.process_time() - start < 1.5, finder.__name__
             base = cert.base if finder is find_odd_expansion else cert
             assert [tr.vertices for tr in base.trees] == [{n - 3}, {n - 2}, {n - 1}]
+
+    def test_search_depth_is_not_bounded_by_the_stack(self, monkeypatch):
+        # The search is one loop over an explicit stack, so a 2-core longer
+        # than the recursion limit is searched: C301, its own 2-core, with
+        # the size limit lifted and the recursion limit at 250.
+        monkeypatch.setattr(minors, "MAX_ASSIGNMENTS", 4**301)
+        g = cycle(301)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            cert = find_expansion(g, 3)
+            odd = find_odd_expansion(g, 3)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [tr.vertices for tr in cert.trees] == [frozenset(range(299)), {299}, {300}]
+        assert verify_expansion(g, cert).passed and verify_odd_expansion(g, odd).passed
 
     def test_t_must_be_positive(self):
         with pytest.raises(ContractViolation):
