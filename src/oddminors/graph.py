@@ -25,19 +25,19 @@ class Graph:
     out-of-range endpoints are rejected; duplicate edges collapse.
     Instances are immutable: do not mutate the adjacency.
 
-    What is stored: the adjacency, one tuple of neighbors per vertex in
-    ascending id order, holding the caller's int objects.  It is a counting
-    sort of the normalized endpoints: degrees give each vertex's offset in
-    one flat list, and each vertex's run there becomes its tuple.  Pairs in
-    strictly increasing order (as the renderers, ``gnp`` and
-    ``build_quotient`` write them) leave every run sorted and distinct; any
-    other order sorts and de-duplicates each run.
+    What is stored: the adjacency as compressed sparse rows, no tuple or int
+    per vertex.  v's neighbors, in ascending id order, are the run
+    ``_runs[_ends[v]:_ends[v + 1]]`` of one tuple of all 2m ids (the caller's
+    ints), a counting sort of the normalized endpoints; ``_ends`` packs the
+    n + 1 offsets.  Pairs in strictly increasing order (as the renderers,
+    ``gnp`` and ``build_quotient`` write them) leave every run sorted and
+    distinct; any other order sorts and de-duplicates each run.
 
     The adjacency is the graph's one edge order: ``sorted_edges`` lists it,
-    and ``m``, ``has_edge``, ``==`` and ``hash`` read it.
+    and ``m``, ``has_edge``, ``==``, ``hash`` and pickling read it.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_runs", "_ends")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -66,45 +66,49 @@ class Graph:
         flat = [0] * len(pairs)
         it = reversed(pairs)
         for v, u in zip(it, it):  # last pair first, so each run fills downward in order
-            at[u] -= 1
-            flat[at[u]] = v
-            at[v] -= 1
-            flat[at[v]] = u
+            at[u] = i = at[u] - 1
+            flat[i] = v
+            at[v] = i = at[v] - 1
+            flat[i] = u
         del pairs, it
-        runs = tuple(flat)
-        del flat
-        at.append(len(runs))  # vertex x's run is runs[at[x]:at[x + 1]]
-        adj = [runs[s:e] for s, e in pairwise(at)]
-        del runs, at
+        at.append(len(flat))  # vertex x's run is flat[at[x]:at[x + 1]]
         if not ordered:
-            adj = [tuple(sorted(set(out))) for out in adj]
-        self.n = n
-        self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
+            flat = [sorted(set(flat[s:e])) for s, e in pairwise(at)]
+            at = [0, *accumulate(map(len, flat))]
+            flat = [w for out in flat for w in out]
+        ends = memoryview(bytearray(4 * len(at))).cast("I")
+        for x, end in enumerate(at):
+            ends[x] = end
+        del at
+        self.n, self._runs, self._ends = n, tuple(flat), ends.toreadonly()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of ``v`` in ascending id order."""
-        return self._adj[v]
+        return self._runs[self._ends[v]:self._ends[v + 1]]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._ends[v + 1] - self._ends[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._adj[u]
+        return 0 <= u < self.n and v in self.neighbors(u)
 
     @property
     def m(self) -> int:
-        return sum(map(len, self._adj)) // 2
+        return len(self._runs) // 2
 
     def sorted_edges(self) -> list[Edge]:
-        return [(u, v) for u, out in enumerate(self._adj) for v in out if u < v]
+        return [(u, v) for u, (s, e) in enumerate(pairwise(self._ends)) for v in self._runs[s:e] if u < v]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        return self._ends == other._ends and self._runs == other._runs
 
     def __hash__(self) -> int:
-        return hash(self._adj)
+        return hash((self.n, self._runs))
+
+    def __reduce__(self):
+        return Graph, (self.n, self.sorted_edges())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -135,7 +139,8 @@ class _Reader:
     """One parse's pass over the lines of ``text``, and its error rule.
 
     Iterating yields each line with more than a comment, stripped, numbered
-    as ``str.splitlines`` splits, so a form feed ends a line too.  With
+    as ``str.splitlines`` splits, so a form feed ends a line too, from one
+    chunk of about 4 KB ending just past a ``"\n"`` at a time.  With
     ``comment`` ``"#"`` a ``#`` starts a comment that runs to the end of its
     line; with ``"c"`` (DIMACS) so does a ``c`` that starts a line.  Used as
     a context manager around that loop, it alone numbers errors.  Raised in
@@ -153,12 +158,15 @@ class _Reader:
         self.lineno = 0
 
     def __iter__(self) -> Iterator[str]:
-        hashes = self.comment == "#"
-        for lineno, raw in enumerate(self.text.splitlines(), start=1):
-            line = (raw.split("#", 1)[0] if hashes else raw).strip()
-            if line and (hashes or line[0] != "c"):
-                self.lineno = lineno
-                yield line
+        hashes, text = self.comment == "#", self.text
+        lineno = end = 0
+        while end < len(text):  # a "\n" always ends a line, so the chunks' lines are the text's
+            start, end = end, text.find("\n", end + 4096) + 1 or len(text)
+            for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
+                line = (raw.split("#", 1)[0] if hashes and "#" in raw else raw).strip()
+                if line and (hashes or line[0] != "c"):
+                    self.lineno = lineno
+                    yield line
         self.lineno = 0
 
     def __enter__(self) -> _Reader:

@@ -393,7 +393,7 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     colorings = cache(partial(_class_colorings, g, spend))  # each class's list, by mask
 
     def search(i: int, mask: int, classes: list[tuple[int, int, int]]):
-        # One node: a leaf's _certify answer, or the feasible children in the order tried.
+        # One node: a leaf's _certify answer, or its children in the order tried.
         # mask: the vertices not left unused, which hold every completion.
         spend()
         if i == n:
@@ -403,14 +403,14 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
             return _certify(g, masks, odd, spend, colorings)
         bit = 1 << i
         # i leaves the suffix, so only the reaches holding i change, each
-        # recomputed once here.  A class that falls apart without i gets the
-        # empty reach, which feasible() rejects in every child but the one adding i to it.
+        # recomputed once here.  A class that falls apart without i becomes the
+        # empty class (0, 0, 0), so every child but the one adding i to it is dropped.
         cut = classes[:]
         options = [-1]  # -1 leaves i unused, k < used adds it to class k, used opens a class
         for k, (c, r, _) in enumerate(classes):
             if r & bit:
                 reached, nbr = component(c & -c, r ^ bit)
-                cut[k] = (c, 0, 0) if c & ~reached else (c, reached, nbr)
+                cut[k] = (0, 0, 0) if c & ~reached else (c, reached, nbr)
                 options.append(k)
         used = len(classes)
         if used < t:
@@ -426,18 +426,20 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
                 child[k] = c | bit, r, nbr
             else:
                 child = [*cut, (bit, *component(bit, full >> i << i))]
-            if feasible(i, child) and (k >= 0 or live(mask & ~bit)):
-                children.append((i + 1, mask if k >= 0 else mask & ~bit, child))
+            children.append((i + 1, mask if k >= 0 else mask & ~bit, child))
         return children
 
-    # Children go on the stack last first, so nodes pop in depth-first order.
+    # Children go on the stack last first, so nodes pop in depth-first order.  Past the root,
+    # one that keeps the empty class or fails feasible() or live() is dropped unspent.
     stack = [(0, full, [])] if live(full) else []
     while stack:
-        out = search(*stack.pop())
-        if isinstance(out, list):
-            stack += reversed(out)
-        elif out is not None:
-            return out
+        i, mask, classes = stack.pop()
+        if not i or (0, 0, 0) not in classes and feasible(i - 1, classes) and live(mask):
+            out = search(i, mask, classes)
+            if isinstance(out, list):
+                stack += reversed(out)
+            elif out is not None:
+                return out
     return None
 
 

@@ -580,8 +580,10 @@ def _frozen_two_color_tree(edges: frozenset[tuple[int, int]], root: int) -> dict
 # were before adjacency was built from per-vertex lists and parsed edges
 # streamed into the constructor: per-vertex sets, and a full edge list per
 # parse.  ``FrozenGraph`` is a ``Graph`` whose ``__init__`` is the old body,
-# verbatim, so ``==``, ``hash`` and every accessor compare directly; the
-# parser bodies are verbatim but for their names and the type they build.
+# verbatim up to its sorted neighbour tuples, which it stores through
+# ``Graph.__init__`` as their ascending pairs, so ``==``, ``hash`` and every
+# accessor compare directly; the parser bodies are verbatim but for their
+# names and the type they build.
 
 
 class FrozenGraph(Graph):
@@ -603,9 +605,10 @@ class FrozenGraph(Graph):
         for u, v in normalized:
             adj[u].add(v)
             adj[v].add(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
+        sorted_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in adj
         )
+        Graph.__init__(self, n, ((u, v) for u, out in enumerate(sorted_adj) for v in out if u < v))
 
 
 class SortedView(Graph):
@@ -620,7 +623,8 @@ class SortedView(Graph):
     __slots__ = ("edges",)  # the edge view the frozen verifier reads
 
     def __init__(self, g: Graph) -> None:
-        self.n, self._adj, self.edges = g.n, g._adj, g.sorted_edges()
+        self.edges = g.sorted_edges()
+        Graph.__init__(self, g.n, self.edges)
 
 
 def frozenset_sides(p: BcpPartition) -> BcpPartition:

@@ -30,7 +30,7 @@ from oddminors import (
     verify_partition,
 )
 from corpus import small_corpus
-from oddminors.graph import splitmix64
+from oddminors.graph import _Reader, splitmix64
 from oracles import (
     FrozenGraph,
     SortedView,
@@ -83,6 +83,16 @@ class TestGraph:
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
         assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, [(0, 1)]))
+
+    def test_unordered_stream_equals_sorted_stream(self):
+        # Pairs out of order take the path that sorts and de-duplicates each
+        # run, which rebuilds the flat runs and their offsets.
+        for n, seed in ((2, 0), (12, 1), (300, 2), (3000, 3)):
+            edges = messy_edges(n, n, seed)
+            g, want = Graph(n, edges), Graph(n, sorted({(min(e), max(e)) for e in edges}))
+            assert g._runs == want._runs and list(g._ends) == list(want._ends)
+            assert g == want and hash(g) == hash(want)
+            assert g.sorted_edges() == want.sorted_edges() and g.m == want.m
 
 
 class TestParsing:
@@ -138,6 +148,61 @@ class TestParsing:
             line = st.one_of(blank, note)
             prefix = "".join(f"{text}\n" for text in data.draw(st.lists(line, max_size=4)))
             assert parse_graph(prefix + render(g)) == g
+
+
+def reader_pairs(text, comment):
+    """What ``_Reader(text, comment)`` yields, each line with its number."""
+    reader = _Reader(text, comment)
+    return [(reader.lineno, line) for line in reader]
+
+
+def numbered_lines(text, comment):
+    """The reader's rule on ``text.splitlines()``, numbered from 1."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = (raw.split("#", 1)[0] if comment == "#" else raw).strip()
+        if line and (comment == "#" or line[0] != "c"):
+            out.append((lineno, line))
+    return out
+
+
+SEPARATORS = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+
+
+class TestReaderChunks:
+    """_Reader walks its text in chunks of about 4 KB, each ending just past
+    a newline, and yields the lines and numbers of ``str.splitlines``."""
+
+    @given(
+        st.lists(st.tuples(st.integers(min_value=0, max_value=900),
+                           st.sampled_from(["1 2", "c x", "# y", " ", "p edge", "7"]),
+                           st.sampled_from(SEPARATORS)), max_size=40),
+        st.integers(min_value=4080, max_value=4110),
+        st.sampled_from(SEPARATORS),
+    )
+    @settings(max_examples=150)
+    def test_lines_and_numbers_are_those_of_splitlines(self, lines, cut, sep):
+        # The lead puts `sep` (a \r\n among them) at or near the 4 KB point.
+        text = "1" * cut + sep + "".join((word * size)[:size] + end for size, word, end in lines)
+        for comment in ("#", "c"):
+            assert reader_pairs(text, comment) == numbered_lines(text, comment)
+
+    @pytest.mark.parametrize("cut", range(4093, 4100))
+    def test_crlf_at_the_chunk_boundary(self, cut):
+        text = "x" * cut + "\r\n" + "y\r\n" * 3000 + "z"
+        pairs = reader_pairs(text, "#")
+        assert pairs == numbered_lines(text, "#")
+        assert pairs[:2] == [(1, "x" * cut), (2, "y")]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_error_in_the_third_chunk_names_its_line(self, end):
+        lines = ["3000"] + [f"{i} {i + 1}" for i in range(2999)]
+        bad = next(i for i in range(len(lines)) if len(end.join(lines[:i])) > 2 * 4096 + 100)
+        lines[bad] = "5 x"
+        text = end.join(lines) + end
+        assert len(text) > 3 * 4096
+        with pytest.raises(ParseError, match=rf"^line {bad + 1}: expected integer, got 'x'$"):
+            parse_graph(text)
 
 
 class TestGenerators:

@@ -4,7 +4,8 @@ No byte counts: these hold on every supported Python.  Records keep their
 fields in slots, every partition side is a tuple of ids in ascending order
 and every empty one is the shared ``()``, a parsed graph holds one int
 object per vertex id, and a graph holds only its adjacency, which serves
-every partition stage.
+every partition stage: one flat tuple of neighbor ids and a packed buffer
+of offsets, with no tuple per vertex.
 """
 
 import copy
@@ -94,13 +95,32 @@ def test_parsed_graph_holds_one_int_per_id(g3000, render):
     assert all(len(ids) == 1 for ids in objects.values())
 
 
+def test_graph_holds_one_flat_tuple_of_neighbor_ids(g3000):
+    g = parse_graph(render_edge_list(g3000))
+    assert type(g._runs) is tuple and len(g._runs) == 2 * g.m
+    assert {type(w) for w in g._runs} == {int}  # ids, no per-vertex tuple
+    assert list(g._runs) == [w for v in range(g.n) for w in g.neighbors(v)]
+    assert isinstance(g._ends, memoryview) and g._ends.readonly and len(g._ends) == g.n + 1
+    empty = tuple()  # the one empty tuple object
+    isolated = [v for v in range(g.n) if not g.degree(v)]
+    assert len(isolated) > 100  # about e^-2 of the vertices of G(n, m = n)
+    assert all(g.neighbors(v) is empty for v in isolated)
+
+
+def test_graph_copies_and_pickles(g3000):
+    for g in (g3000, Graph(0), Graph(5, [(3, 1)])):
+        for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert type(other) is Graph and other == g and hash(other) == hash(g)
+            assert other.sorted_edges() == g.sorted_edges()
+
+
 def test_partition_stages_leave_the_edge_set_unbuilt(g3000):
     g = parse_graph(render_edge_list(g3000))
     p = compute_partition(g)
     assert verify_partition(g, p).passed
     assert build_quotient(g, p).partition is p
     assert verify_partition(g, parse_partition(render_partition(p))).passed
-    assert Graph.__slots__ == ("n", "_adj")  # the adjacency, and nothing built from it
+    assert Graph.__slots__ == ("n", "_runs", "_ends")  # the adjacency, and nothing built from it
 
 
 def test_records_copy_and_pickle(g3000):
