@@ -1098,3 +1098,29 @@ class TestStartup:
         result = _python("-OO", "-m", "oddminors.cli", "-h")
         assert (result.returncode, result.stderr) == (0, "")
         assert "find-odd-minor" in result.stdout
+
+    # What ``python -m oddminors.cli`` loads per command: each branch imports
+    # only the layers it runs, where a library import binds them all.
+    COMMAND_LAYERS = {
+        "find-minor -t 3": {"graph", "minors"},
+        "find-odd-minor -t 3": {"graph", "minors"},
+        "partition": {"graph", "partition"},
+        "verify --partition p.txt": {"graph", "partition"},
+        "quotient": {"graph", "partition", "quotient"},
+        "report -t 3": set(LAYERS),
+        "lift -t 2": set(LAYERS),
+        "gen cycle 5": {"graph"},
+        "-h": {"graph"},
+    }
+
+    @pytest.mark.parametrize("command", COMMAND_LAYERS)
+    def test_process_imports_only_its_commands_layers(self, command, tmp_path):
+        (tmp_path / "p.txt").write_text(run(["partition"], C5)[1].removesuffix("PASS\n"))
+        # -X importtime writes each import to stderr as it happens, so the
+        # lines are there even though the process ends through os._exit.
+        result = _python("-X", "importtime", "-m", "oddminors.cli", *command.split(), input=C5, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        loaded = {
+            line.rpartition("|")[2].strip() for line in result.stderr.splitlines() if line.startswith("import time:")
+        }
+        assert {layer for layer in self.LAYERS if f"oddminors.{layer}" in loaded} == self.COMMAND_LAYERS[command]

@@ -1,6 +1,9 @@
 """The record contract every result type keeps: construction, equality,
 hashing, repr and immutability; and the package's public names."""
 
+import os
+import subprocess
+import sys
 from types import ModuleType
 
 import pytest
@@ -144,3 +147,37 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(getattr(oddminors, name), ModuleType)
     }
     assert public == PUBLIC_NAMES
+
+
+class TestLazyPackage:
+    """Each public name loads the submodule that defines it on first use."""
+
+    def test_import_loads_no_submodule(self):
+        src = os.path.dirname(os.path.dirname(oddminors.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, oddminors\nprint(' '.join(sys.modules))"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "oddminors" in result.stdout.split()
+        assert [name for name in result.stdout.split() if name.startswith("oddminors.")] == []
+
+    def test_names_are_their_defining_submodules_objects(self):
+        import oddminors.minors
+
+        assert oddminors.find_expansion is oddminors.minors.find_expansion
+        for name in PUBLIC_NAMES:
+            value = getattr(oddminors, name)
+            assert value.__module__.startswith("oddminors.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'oddminors' has no attribute 'no_such_name'"):
+            oddminors.no_such_name
+
+    def test_star_import_binds_exactly_the_public_names(self):
+        namespace = {}
+        exec("from oddminors import *", namespace)
+        assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+        assert set(oddminors.__all__) == PUBLIC_NAMES
