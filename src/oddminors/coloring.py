@@ -11,7 +11,6 @@ from __future__ import annotations
 from ._record import Record, VerificationReport
 from .errors import DEFAULT_MAX_NODES, BudgetExceeded, ContractViolation, ParseError
 from .graph import Graph, _Reader
-from .quotient import QuotientGraph
 
 
 class Coloring(Record):
@@ -67,11 +66,10 @@ def _dsatur(g: Graph):
     down and up calls nest.
     """
     n = g.n
-    adj = [g.neighbors(v) for v in range(n)]
     colors = [-1] * n
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
     key = [0] * n
-    for rank, v in enumerate(sorted(range(n), key=lambda v: (-len(adj[v]), v))):
+    for rank, v in enumerate(sorted(range(n), key=lambda v: (-g.degree(v), v))):
         key[v] = n - 1 - rank
     colored = n * (n + 1)  # above every key: saturation and rank are < n
 
@@ -82,7 +80,7 @@ def _dsatur(g: Graph):
     def down(v: int, c: int) -> list[int]:
         colors[v] = c
         key[v] -= colored
-        touched = [w for w in adj[v] if c not in neighbor_colors[w]]
+        touched = [w for w in g.neighbors(v) if c not in neighbor_colors[w]]
         for w in touched:
             neighbor_colors[w].add(c)
             key[w] += n

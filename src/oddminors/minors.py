@@ -362,13 +362,13 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     bipartite = cache(partial(_bipartite, adj))  # by vertex mask
 
     def feasible(i: int, classes: list[tuple[int, int, int]]) -> bool:
-        # Called with vertices 0..i assigned; the suffix starts at i + 1.
+        # Called on node i, with vertices 0..i - 1 assigned; the suffix starts at i.
         used = len(classes)
-        if t - used > n - i - 1:
+        if t - used > n - i:
             return False
         if used < t:
             # A class still to open lies in the suffix and must touch R_a.
-            rest = full >> (i + 1) << (i + 1)
+            rest = full >> i << i
             for _, _, na in classes:
                 if not na & rest:
                     return False
@@ -393,53 +393,46 @@ def _search(g: Graph, t: int, max_nodes: int, odd: bool):
     colorings = cache(partial(_class_colorings, g, spend))  # each class's list, by mask
 
     def search(i: int, mask: int, classes: list[tuple[int, int, int]]):
-        # One node: a leaf's _certify answer, or its children in the order tried.
+        # One node: a leaf's _certify answer, or None once its children are pushed.
         # mask: the vertices not left unused, which hold every completion.
         spend()
         if i == n:
-            # feasible() at i = n - 1 saw an empty suffix: every class is
+            # feasible() at this node saw an empty suffix: every class is
             # connected, all t are open and every pair is joined.
-            masks = [sum(1 << v for j, v in enumerate(ids) if c >> j & 1) for c, _, _ in classes]
+            masks = [sum(1 << ids[j] for j in _bits(c)) for c, _, _ in classes]
             return _certify(g, masks, odd, spend, colorings)
         bit = 1 << i
         # i leaves the suffix, so only the reaches holding i change, each
         # recomputed once here.  A class that falls apart without i becomes the
         # empty class (0, 0, 0), so every child but the one adding i to it is dropped.
         cut = classes[:]
-        options = [-1]  # -1 leaves i unused, k < used adds it to class k, used opens a class
+        held = []  # the classes whose reach holds i, which i may join
         for k, (c, r, _) in enumerate(classes):
             if r & bit:
                 reached, nbr = component(c & -c, r ^ bit)
                 cut[k] = (0, 0, 0) if c & ~reached else (c, reached, nbr)
-                options.append(k)
-        used = len(classes)
-        if used < t:
-            options.append(used)
-        children = []
-        for k in options:
-            if k < 0:
-                child = cut
-            elif k < used:
-                # R_k holds i, so it is also the reach of C_k + i.
-                c, r, nbr = classes[k]
-                child = cut[:]
-                child[k] = c | bit, r, nbr
-            else:
-                child = [*cut, (bit, *component(bit, full >> i << i))]
-            children.append((i + 1, mask if k >= 0 else mask & ~bit, child))
-        return children
+                held.append(k)
+        # Pushed last first, children pop as: i unused, i joining each held class in turn, i opening a class.
+        if len(classes) < t:
+            stack.append((i + 1, mask, [*cut, (bit, *component(bit, full >> i << i))]))
+        for k in reversed(held):
+            # R_k holds i, so it is also the reach of C_k + i.
+            c, r, nbr = classes[k]
+            child = cut[:]
+            child[k] = c | bit, r, nbr
+            stack.append((i + 1, mask, child))
+        stack.append((i + 1, mask & ~bit, cut))
+        return None
 
-    # Children go on the stack last first, so nodes pop in depth-first order.  Past the root,
-    # one that keeps the empty class or fails feasible() or live() is dropped unspent.
-    stack = [(0, full, [])] if live(full) else []
+    # Nodes pop in depth-first order, the root a node like any other; one that keeps
+    # the empty class or fails feasible() or live() is dropped unspent.
+    stack = [(0, full, [])]
     while stack:
         i, mask, classes = stack.pop()
-        if not i or (0, 0, 0) not in classes and feasible(i - 1, classes) and live(mask):
-            out = search(i, mask, classes)
-            if isinstance(out, list):
-                stack += reversed(out)
-            elif out is not None:
-                return out
+        if (0, 0, 0) not in classes and feasible(i, classes) and live(mask):
+            found = search(i, mask, classes)
+            if found is not None:
+                return found
     return None
 
 

@@ -223,6 +223,69 @@ def _odd_signable(g: Graph, classes: list[frozenset[int]]) -> bool:
     return False
 
 
+def has_odd_expansion_by_coloring(g: Graph, t: int) -> bool:
+    """Odd K_t-expansion test over global 2-colorings, which scales past n = 5.
+
+    g has an odd K_t-expansion exactly when some {0,1}-coloring c of all its
+    vertices admits t disjoint vertex sets, each connected through its
+    c-bichromatic edges, with a c-monochromatic edge between every two.
+    Given an odd certificate, extend its parity to the other vertices: each
+    tree joins its vertex set through bichromatic edges, and each connector
+    is monochromatic.  Conversely, a spanning tree of each set's bichromatic
+    edges, one monochromatic edge per pair, and c on the sets make an odd
+    certificate.  A global flip changes nothing, so vertex 0 takes color 0:
+    2^(n-1) colorings.  For each, the sets connected in its bichromatic
+    graph are listed (none larger than n - t + 1, since t - 1 others need a
+    vertex each), and t of them, pairwise disjoint and pairwise joined by a
+    monochromatic edge, are sought in list order.  No branch-set map,
+    spanning tree or flip is enumerated, and nothing of the library's
+    search is used.
+    """
+    n = g.n
+    if t > n:
+        return False
+    adj = [0] * n
+    for u, v in g.sorted_edges():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+
+    def union(rows: list[int], s: int) -> int:
+        out = 0
+        for v in range(n):
+            if s >> v & 1:
+                out |= rows[v]
+        return out
+
+    for ones in range(0, 1 << n, 2):  # the vertices colored 1
+        bi = [a & (full ^ ones if ones >> v & 1 else ones) for v, a in enumerate(adj)]
+        mono = [a ^ b for a, b in zip(adj, bi)]
+        sets = []  # (a set connected in the bichromatic graph, its monochromatic neighbours)
+        for s in range(1, full + 1):
+            if s.bit_count() > n - t + 1:
+                continue
+            reached = frontier = s & -s
+            while frontier:
+                frontier = union(bi, frontier) & s & ~reached
+                reached |= frontier
+            if reached == s:
+                sets.append((s, union(mono, s)))
+
+        def extend(start: int, used: int, picked: list[int]) -> bool:
+            if len(picked) == t:
+                return True
+            for j in range(start, len(sets)):
+                x, joined = sets[j]
+                if not x & used and all(joined & p for p in picked):
+                    if extend(j + 1, used | x, picked + [x]):
+                        return True
+            return False
+
+        if extend(0, 0, []):
+            return True
+    return False
+
+
 def two_core(g: Graph) -> frozenset[int]:
     """The 2-core of g: what is left once vertices of degree <= 1 are
     deleted, round after round."""

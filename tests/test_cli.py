@@ -1107,6 +1107,8 @@ class TestStartup:
         "partition": {"graph", "partition"},
         "verify --partition p.txt": {"graph", "partition"},
         "quotient": {"graph", "partition", "quotient"},
+        "color --mode exact": {"graph", "coloring"},
+        "verify --coloring c.txt": {"graph", "coloring"},
         "report -t 3": set(LAYERS),
         "lift -t 2": set(LAYERS),
         "gen cycle 5": {"graph"},
@@ -1116,6 +1118,7 @@ class TestStartup:
     @pytest.mark.parametrize("command", COMMAND_LAYERS)
     def test_process_imports_only_its_commands_layers(self, command, tmp_path):
         (tmp_path / "p.txt").write_text(run(["partition"], C5)[1].removesuffix("PASS\n"))
+        (tmp_path / "c.txt").write_text(run(["color", "--mode", "exact"], C5)[1])
         # -X importtime writes each import to stderr as it happens, so the
         # lines are there even though the process ends through os._exit.
         result = _python("-X", "importtime", "-m", "oddminors.cli", *command.split(), input=C5, cwd=tmp_path)

@@ -40,6 +40,7 @@ from oracles import (
     count_calls,
     frozen_certify,
     frozen_search,
+    has_odd_expansion_by_coloring,
     has_odd_expansion_naive,
     naive_find_branch_sets,
     two_core,
@@ -789,6 +790,40 @@ class TestFindOddExpansion:
             cert = find_odd_expansion(g, t)
             if cert is not None:
                 assert verify_odd_expansion(g, cert).passed, (name, t)
+
+
+class TestOddOracleByColoring:
+    """The global-2-coloring odd oracle, held to the spanning-tree oracle
+    where that one is affordable and to find_odd_expansion beyond it."""
+
+    def test_agrees_with_spanning_tree_oracle_on_five_vertices(self):
+        for g in all_graphs_on_5():
+            assert has_odd_expansion_by_coloring(g, 3) == has_odd_expansion_naive(g, 3), g.sorted_edges()
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    def test_agrees_with_finder_on_five_vertices(self, t):
+        for g in all_graphs_on_5():
+            found = find_odd_expansion(g, t) is not None
+            assert has_odd_expansion_by_coloring(g, t) == found, (g.sorted_edges(), t)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_agrees_with_finder_on_random_graphs(self, n):
+        for p in (0.3, 0.5, 0.7):
+            for seed in range(5):
+                g = gnp(n, p, 9100 + seed)
+                for t in range(3, n + 1):
+                    found = find_odd_expansion(g, t) is not None
+                    assert has_odd_expansion_by_coloring(g, t) == found, (g.sorted_edges(), t)
+
+    @pytest.mark.parametrize("g,t,want", [
+        (PLAIN_BUT_NO_ODD_K4, 4, False),
+        (NON_LEAST_CONNECTOR_K4, 4, True),
+        (K4_AND_TRIANGLE, 5, True),
+        (complete_bipartite(3, 3), 3, False),
+    ])
+    def test_named_graphs(self, g, t, want):
+        assert has_odd_expansion_by_coloring(g, t) is want
+        assert (find_odd_expansion(g, t) is not None) is want
 
 
 class TestCertificateFormat:
