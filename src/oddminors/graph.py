@@ -9,7 +9,7 @@ greedy algorithm in the package fully deterministic.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from operator import eq
 
 from ._record import Record
@@ -26,12 +26,13 @@ class Graph:
     Instances are immutable: do not mutate the adjacency.
 
     What is stored: the adjacency as compressed sparse rows, no tuple or int
-    per vertex.  v's neighbors, in ascending id order, are the run
-    ``_runs[_ends[v]:_ends[v + 1]]`` of one tuple of all 2m ids (the caller's
-    ints), a counting sort of the normalized endpoints; ``_ends`` packs the
-    n + 1 offsets.  Pairs in strictly increasing order (as the renderers,
-    ``gnp`` and ``build_quotient`` write them) leave every run sorted and
-    distinct; any other order sorts and de-duplicates each run.
+    object per vertex or edge.  v's neighbors, in ascending id order, are the
+    run ``_runs[_ends[v]:_ends[v + 1]]`` of all 2m ids, a counting sort of
+    the normalized endpoints; ``_ends`` holds the n + 1 offsets.  Both are
+    read-only ``"I"`` memoryviews over bytearrays, and the degree counts,
+    summed in place, become ``_ends``.  Pairs in strictly increasing order
+    (as the renderers, ``gnp`` and ``build_quotient`` write them) leave every
+    run sorted and distinct; any other order is sorted and de-duplicated first.
 
     The adjacency is the graph's one edge order: ``sorted_edges`` lists it,
     and ``m``, ``has_edge``, ``==``, ``hash`` and pickling read it.
@@ -44,7 +45,6 @@ class Graph:
             raise StructureError(f"vertex count must be non-negative, got {n}")
         pairs: list[int] = []
         add = pairs.append
-        at = [0] * n  # per vertex: its degree, then its run's end, then its start
         ordered = True  # each normalized pair so far above the one before it
         pu = pv = -1
         for u, v in edges:
@@ -59,38 +59,33 @@ class Graph:
             pu, pv = u, v
             add(u)
             add(v)
-            at[u] += 1
-            at[v] += 1
-        # Each temporary is dropped once used, to lower the peak of a parse.
-        at = list(accumulate(at))
-        flat = [0] * len(pairs)
+        if not ordered:  # sorted and distinct, the pairs fill every run sorted and distinct
+            it = iter(pairs)
+            pairs = [x for pair in sorted(set(zip(it, it))) for x in pair]
+        at = memoryview(bytearray(4 * n + 4)).cast("I")  # per vertex: its degree, then its run's end, then its start
+        for x in pairs:
+            at[x] += 1
+        end = 0  # at[n] ends as 2m, so vertex x's run is runs[at[x]:at[x + 1]] once filled
+        for x, degree in enumerate(at):
+            at[x] = end = end + degree
+        runs = memoryview(bytearray(4 * len(pairs))).cast("I")
         it = reversed(pairs)
         for v, u in zip(it, it):  # last pair first, so each run fills downward in order
             at[u] = i = at[u] - 1
-            flat[i] = v
+            runs[i] = v
             at[v] = i = at[v] - 1
-            flat[i] = u
-        del pairs, it
-        at.append(len(flat))  # vertex x's run is flat[at[x]:at[x + 1]]
-        if not ordered:
-            flat = [sorted(set(flat[s:e])) for s, e in pairwise(at)]
-            at = [0, *accumulate(map(len, flat))]
-            flat = [w for out in flat for w in out]
-        ends = memoryview(bytearray(4 * len(at))).cast("I")
-        for x, end in enumerate(at):
-            ends[x] = end
-        del at
-        self.n, self._runs, self._ends = n, tuple(flat), ends.toreadonly()
+            runs[i] = u
+        self.n, self._runs, self._ends = n, runs.toreadonly(), at.toreadonly()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of ``v`` in ascending id order."""
-        return self._runs[self._ends[v]:self._ends[v + 1]]
+        return tuple(self._runs[self._ends[v]:self._ends[v + 1]])
 
     def degree(self, v: int) -> int:
         return self._ends[v + 1] - self._ends[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.neighbors(u)
+        return 0 <= u < self.n and v in self._runs[self._ends[u]:self._ends[u + 1]]
 
     @property
     def m(self) -> int:
@@ -105,7 +100,7 @@ class Graph:
         return self._ends == other._ends and self._runs == other._runs
 
     def __hash__(self) -> int:
-        return hash((self.n, self._runs))
+        return hash((self.n, self._runs.tobytes()))
 
     def __reduce__(self):
         return Graph, (self.n, self.sorted_edges())
@@ -233,7 +228,8 @@ def _graph_items(lines: Iterable[str], dimacs: bool = False) -> Iterator:
         raise ParseError("vertex count must be non-negative")
     yield check_order(n)
     lo = int(dimacs)  # the least vertex id as written, and where u stands on an edge line
-    # ids[u] is written id u counted from 0: one int object per id, shared by all its edges.
+    # ids[u] is written id u counted from 0: one int object per id, shared by all its
+    # edges while ``Graph`` gathers them, which lowers a parse's peak below a fresh int per endpoint.
     ids, hi, width = list(range(-lo, n)), n + lo, 2 + lo
     for line in lines:
         parts = line.split()

@@ -10,6 +10,8 @@ is what later turns a clique expansion of the quotient into an odd one.
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 from ._record import Record, VerificationReport
 from .errors import ParseError
 from .graph import Graph, TwoSides, _distinct, _parse_ids, _Reader
@@ -54,7 +56,7 @@ def compute_partition(g: Graph) -> BcpPartition:
     # never partition need not pay.
     from heapq import heappop, heappush
 
-    n = g.n
+    n, runs, ends = g.n, g._runs, g._ends
     unused = [True] * n
     seen = [0] * n  # bit s set: a neighbor sits on side s of the current part
     parts: list[TwoSides] = []
@@ -72,7 +74,7 @@ def compute_partition(g: Graph) -> BcpPartition:
             unused[v] = False
             sides[s].append(v)
             bit = 1 << s
-            for w in g.neighbors(v):
+            for w in runs[ends[v]:ends[v + 1]]:
                 if unused[w]:
                     if not seen[w]:
                         touched.append(w)
@@ -121,7 +123,7 @@ def _check_partition(
     ``side[v] & _B`` tells its side there.  The witness map (see
     ``_witness_triples``) is computed only then, and is empty otherwise.
     """
-    n, neighbors = g.n, g.neighbors
+    n, runs, ends = g.n, g._runs, g._ends
     part_of = [-1] * n  # in-range vertex -> the last part so far holding it
     side = bytearray(n)  # its side bits there, and _SEEN once that part's traversal reached it
     first: dict[int, int] = {}  # vertex held by two parts -> the first of them
@@ -170,7 +172,7 @@ def _check_partition(
                 while stack:
                     u = stack.pop()
                     bits = side[u] & (_A | _B)
-                    for w in neighbors(u):
+                    for w in runs[ends[u]:ends[u + 1]]:
                         if part_of[w] == i:
                             s = side[w]
                             if s & bits and u < w:
@@ -214,10 +216,11 @@ def _witness_triples(
     first in its ascending adjacency.
     """
     triples: dict[tuple[int, int], tuple[int, int, int] | None] = {}
-    for v in range(g.n):
+    runs = g._runs
+    for v, (s, e) in enumerate(pairwise(g._ends)):
         j = part_of[v]
         least: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        for w in g.neighbors(v):
+        for w in runs[s:e]:
             i = part_of[w]
             if i < j and triples.setdefault((i, j), None) is None:
                 least[(side[w] & _B) > 0].setdefault(i, w)

@@ -1,5 +1,7 @@
 """Graph type, parsers/renderers, generators, and the seeded PRNG."""
 
+import copy
+import pickle
 import random
 import re
 
@@ -93,6 +95,19 @@ class TestGraph:
             assert g._runs == want._runs and list(g._ends) == list(want._ends)
             assert g == want and hash(g) == hash(want)
             assert g.sorted_edges() == want.sorted_edges() and g.m == want.m
+
+    def test_unordered_stream_above_two_bytes_copies_and_pickles(self):
+        # Ids and offsets above 2^16 fill the packed runs and offsets whole:
+        # the rebuilt graph, its copies and its pickle equal the ordered build.
+        n = 80_000
+        edges = messy_edges(n, 40_000, 4)
+        g, want = Graph(n, edges), Graph(n, sorted({(min(e), max(e)) for e in edges}))
+        assert max(g._runs) >= 2**16 and g._ends[n] == 2 * g.m > 2**16
+        assert g._runs == want._runs and g._ends == want._ends
+        for other in (g, copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert type(other) is Graph and other == want and hash(other) == hash(want)
+        assert g.sorted_edges() == want.sorted_edges()
+        assert all(g.neighbors(v) == want.neighbors(v) for v in range(0, n, 97))
 
 
 class TestParsing:

@@ -2,13 +2,14 @@
 
 No byte counts: these hold on every supported Python.  Records keep their
 fields in slots, every partition side is a tuple of ids in ascending order
-and every empty one is the shared ``()``, a parsed graph holds one int
-object per vertex id, and a graph holds only its adjacency, which serves
-every partition stage: one flat tuple of neighbor ids and a packed buffer
-of offsets, with no tuple per vertex.
+and every empty one is the shared ``()``, and a graph, parsed or built,
+holds only its adjacency, which serves every partition stage: one packed
+read-only buffer of neighbor ids and one of offsets, with no tuple per
+vertex and no int object but its vertex count.
 """
 
 import copy
+import gc
 import pickle
 import random
 
@@ -83,24 +84,26 @@ def test_sides_are_ascending_tuples(g3000):
         assert all(side is empty for side in sides if not side)
 
 
+def packed(view) -> bool:
+    """``view`` is a read-only memoryview of C unsigned ints over the whole of a bytearray."""
+    return (type(view) is memoryview and view.readonly and view.format == "I"
+            and type(view.obj) is bytearray and view.nbytes == len(view.obj))
+
+
 @pytest.mark.parametrize("render", [render_edge_list, render_dimacs], ids=["edge-list", "dimacs"])
-def test_parsed_graph_holds_one_int_per_id(g3000, render):
+def test_parsed_graph_holds_no_int_per_id(g3000, render):
     g = parse_graph(render(g3000))
     assert g == g3000
-    objects: dict[int, set[int]] = {}
-    ends = [w for v in range(g.n) for w in g.neighbors(v)]
-    for x in ends:
-        objects.setdefault(x, set()).add(id(x))
-    assert len(objects) > 2000
-    assert all(len(ids) == 1 for ids in objects.values())
+    held = [x for x in gc.get_referents(g) if x is not Graph]
+    assert [x for x in held if type(x) is int] == [g.n]  # the vertex count, no id
+    assert len(held) == 3 and all(packed(x) for x in held if type(x) is not int)
 
 
-def test_graph_holds_one_flat_tuple_of_neighbor_ids(g3000):
+def test_graph_holds_one_packed_buffer_of_neighbor_ids(g3000):
     g = parse_graph(render_edge_list(g3000))
-    assert type(g._runs) is tuple and len(g._runs) == 2 * g.m
-    assert {type(w) for w in g._runs} == {int}  # ids, no per-vertex tuple
-    assert list(g._runs) == [w for v in range(g.n) for w in g.neighbors(v)]
-    assert isinstance(g._ends, memoryview) and g._ends.readonly and len(g._ends) == g.n + 1
+    assert packed(g._runs) and len(g._runs) == 2 * g.m
+    assert g._runs.tolist() == [w for v in range(g.n) for w in g.neighbors(v)]
+    assert packed(g._ends) and len(g._ends) == g.n + 1
     empty = tuple()  # the one empty tuple object
     isolated = [v for v in range(g.n) if not g.degree(v)]
     assert len(isolated) > 100  # about e^-2 of the vertices of G(n, m = n)
@@ -121,6 +124,8 @@ def test_partition_stages_leave_the_edge_set_unbuilt(g3000):
     assert build_quotient(g, p).partition is p
     assert verify_partition(g, parse_partition(render_partition(p))).passed
     assert Graph.__slots__ == ("n", "_runs", "_ends")  # the adjacency, and nothing built from it
+    held = [x for x in gc.get_referents(g) if x is not Graph]
+    assert sorted(map(type, held), key=str) == [int, memoryview, memoryview]
 
 
 def test_records_copy_and_pickle(g3000):
