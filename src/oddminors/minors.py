@@ -276,8 +276,12 @@ def find_odd_expansion(
     a cycle lies in its three classes, and each completion of class k lies
     in its reach R_k, so a child is also cut when some three of its classes
     have reaches whose union R_a | R_b | R_c induces a bipartite graph (each
-    union tested once).  So None is exact; given at entry, it also carries
-    evidence: the peel, or a deleted set and a 2-coloring of the rest.
+    union tested once).  So None is exact, but it returns no evidence yet,
+    even when the peel or a deletion set decides it at entry (ROADMAP items
+    3 and 19).  The live check, on entry and for each new mask of an
+    "unused" child, counts no node, neither its peel nor its deletion sets:
+    only the size limit bounds it, to at most C(c, t - 3) <= 84 deletion
+    sets per mask (t = 6, c = 9; ROADMAP item 27).
     """
     return _search(g, t, max_nodes, odd=True)
 

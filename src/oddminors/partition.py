@@ -10,8 +10,6 @@ is what later turns a clique expansion of the quotient into an odd one.
 
 from __future__ import annotations
 
-from itertools import pairwise
-
 from ._record import Record, VerificationReport
 from .errors import ParseError
 from .graph import Graph, TwoSides, _distinct, _parse_ids, _Reader
@@ -102,10 +100,11 @@ def verify_partition(g: Graph, p: BcpPartition) -> VerificationReport:
     arrays that a part fills as its ids are read: the last part holding
     each vertex, and its side bits there.  A vertex on both sides, or held
     by an earlier part, shows up while filling them.  One traversal per
-    part then counts its components and names its same-side edges, in
-    sorted order; one pass over the vertices finds the witness triples.
-    Beyond the failures and the triples it allocates O(n) words, and no
-    set of members per part, in O((n + m) log n) time.
+    part then reads each member's neighbors once: it counts the part's
+    components, names its same-side edges, in sorted order, and finds the
+    witness triples with each earlier part.  Beyond the failures and the
+    triples it allocates O(n) words, and no set of members per part, in
+    O((n + m) log n) time.
     """
     return VerificationReport(_check_partition(g, p)[0])
 
@@ -119,15 +118,23 @@ def _check_partition(
     """The failures ``verify_partition`` reports, the witness map, and the
     arrays ``part_of`` and ``side``.
 
-    Once every clause holds, ``part_of[v]`` is the part holding vertex v and
-    ``side[v] & _B`` tells its side there.  The witness map (see
-    ``_witness_triples``) is computed only then, and is empty otherwise.
+    Once every clause holds, ``part_of[v]`` is the part holding vertex v,
+    ``side[v] & _B`` tells its side there, and the witness map sends each
+    pair (j, i), j < i, of parts joined by an edge, in ascending order, to
+    its least witness triple, or None if it has none; otherwise the map is
+    empty.  A witness triple of (j, i) is (u1, u2, v): u1 on side A and u2
+    on side B of part j, and v in part i adjacent to both.  The least is by
+    (v, u1, u2), which no order of traversal changes.  Part i's traversal
+    reads each run once: v's first neighbor on each side of an earlier part
+    j is its least there, since runs ascend, and (j, i) keeps the triple of
+    the least such v.
     """
     n, runs, ends = g.n, g._runs, g._ends
     part_of = [-1] * n  # in-range vertex -> the last part so far holding it
     side = bytearray(n)  # its side bits there, and _SEEN once that part's traversal reached it
     first: dict[int, int] = {}  # vertex held by two parts -> the first of them
     failures: list[str] = []
+    triples: dict[tuple[int, int], tuple[int, int, int] | None] = {}
     for i, part in enumerate(p.parts):
         side_a, side_b = part.side_a, part.side_b
         if not side_a and not side_b:
@@ -172,14 +179,27 @@ def _check_partition(
                 while stack:
                     u = stack.pop()
                     bits = side[u] & (_A | _B)
+                    near = None  # earlier part -> u's least neighbor on its side A, and on its side B
                     for w in runs[ends[u]:ends[u + 1]]:
-                        if part_of[w] == i:
+                        j = part_of[w]
+                        if j == i:
                             s = side[w]
                             if s & bits and u < w:
                                 same.append((u, w))
                             if s < _SEEN:  # _SEEN is the highest bit
                                 side[w] = s | _SEEN
                                 stack.append(w)
+                        elif j >= 0:  # an earlier part: no later one is filled in yet
+                            triples.setdefault((j, i), None)
+                            if near is None:
+                                near = ({}, {})
+                            near[(side[w] & _B) > 0].setdefault(j, w)
+                    if near is not None:
+                        for j, u1 in near[0].items():
+                            kept = triples[(j, i)]
+                            u2 = near[1].get(j)
+                            if u2 is not None and (kept is None or u < kept[2]):
+                                triples[(j, i)] = (u1, u2, u)
         if comps != 1:
             failures.append(f"part {i}: induces {comps} components, expected 1")
         failures.extend(f"part {i}: edge ({u}, {v}) joins two vertices on one side" for u, v in sorted(same))
@@ -190,45 +210,13 @@ def _check_partition(
         failures.append(f"uncovered vertices: {[v for v in range(n) if part_of[v] < 0]}")
     if failures:
         return tuple(failures), {}, part_of, side
-
-    triples = _witness_triples(g, part_of, side)
-    for (i, j), triple in triples.items():
-        if triple is None:
-            failures.append(
-                f"parts ({i}, {j}) are joined by an edge but admit no witness triple"
-            )
+    triples = dict(sorted(triples.items()))
+    failures.extend(
+        f"parts ({j}, {i}) are joined by an edge but admit no witness triple"
+        for (j, i), triple in triples.items()
+        if triple is None
+    )
     return tuple(failures), triples, part_of, side
-
-
-def _witness_triples(
-    g: Graph, part_of: list[int], side: bytearray
-) -> dict[tuple[int, int], tuple[int, int, int] | None]:
-    """Every pair (i, j), i < j, of parts joined by an edge, in ascending
-    order, mapped to its least witness triple, or None if it has none.
-
-    A witness triple of (i, j) is (u1, u2, v) with u1 on side A and u2 on
-    side B of part i, and v in part j adjacent to both; the least is the
-    least by (v, u1, u2).  The partition must be valid for g: ``part_of``
-    maps each vertex to its part, and ``side`` holds exactly one of ``_A``,
-    ``_B`` per vertex, beside ``_SEEN``.  One pass over the vertices in
-    ascending id: the first v of part j that has neighbors on both sides of
-    part i is the least such v, and its least neighbor on each side comes
-    first in its ascending adjacency.
-    """
-    triples: dict[tuple[int, int], tuple[int, int, int] | None] = {}
-    runs = g._runs
-    for v, (s, e) in enumerate(pairwise(g._ends)):
-        j = part_of[v]
-        least: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        for w in runs[s:e]:
-            i = part_of[w]
-            if i < j and triples.setdefault((i, j), None) is None:
-                least[(side[w] & _B) > 0].setdefault(i, w)
-        for i, u1 in least[0].items():
-            u2 = least[1].get(i)
-            if u2 is not None:
-                triples[(i, j)] = (u1, u2, v)
-    return dict(sorted(triples.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from oddminors import (
     complete,
     compute_partition,
     cycle,
+    gnp,
     parse_partition,
     render_partition,
     verify_partition,
@@ -437,6 +438,39 @@ class TestWitnessTriples:
         g = complete(5)
         assert self.witness(g, (0, 1)) == (0, 1, 2)
         assert self.witness(g, (1, 2)) == (2, 3, 4)
+
+    def test_least_triples_on_partitions_the_greedy_rule_does_not_give(self):
+        """The greedy partition of a relabelled graph, mapped back, has parts
+        whose traversal meets vertices far from id order; each stored
+        witness is still the brute-force least triple by (v, u1, u2)."""
+        rng = random.Random(45)
+        not_greedy = 0
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            g = gnp(n, rng.choice((0.2, 0.3, 0.5)), seed=rng.randrange(1 << 32))
+            label = rng.sample(range(n), n)  # vertex v of g is label[v] of the copy
+            back = sorted(range(n), key=label.__getitem__)
+            copy = Graph(n, [(label[u], label[v]) for u, v in g.sorted_edges()])
+            parts = []
+            for part in compute_partition(copy).parts:
+                a, b = sorted(back[x] for x in part.side_a), sorted(back[x] for x in part.side_b)
+                parts.append(sides(a, b) if not b or a[0] < b[0] else sides(b, a))
+            p = BcpPartition(tuple(parts))
+            not_greedy += p != compute_partition(g)
+            assert verify_partition(g, p).passed
+            part_of = part_map(p)
+            least = {}
+            for x, y in g.sorted_edges():
+                i, j = sorted((part_of[x], part_of[y]))
+                if i != j:
+                    low = p.parts[i]
+                    least[(i, j)] = min(
+                        ((v, u1, u2) for v in p.members(j) for u1 in low.side_a for u2 in low.side_b
+                         if g.has_edge(v, u1) and g.has_edge(v, u2)),
+                        default=None,
+                    )
+            assert {pair: (w.v, w.u1, w.u2) for pair, w in build_quotient(g, p).witnesses.items()} == least
+        assert not_greedy > 1000
 
     def test_singleton_lower_part_has_no_witness(self):
         g = Graph(3, [(0, 1), (1, 2)])
