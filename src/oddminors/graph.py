@@ -26,13 +26,14 @@ class Graph:
     Instances are immutable: do not mutate the adjacency.
 
     What is stored: the adjacency as compressed sparse rows, no tuple or int
-    object per vertex or edge.  v's neighbors, in ascending id order, are the
-    run ``_runs[_ends[v]:_ends[v + 1]]`` of all 2m ids, a counting sort of
-    the normalized endpoints; ``_ends`` holds the n + 1 offsets.  Both are
-    read-only ``"I"`` memoryviews over bytearrays, and the degree counts,
-    summed in place, become ``_ends``.  Pairs in strictly increasing order
-    (as the renderers, ``gnp`` and ``build_quotient`` write them) leave every
-    run sorted and distinct; any other order is sorted and de-duplicated first.
+    object per vertex or edge.  ``neighbors(v)``, v's neighbors in ascending
+    id order, is the run ``_runs[_ends[v]:_ends[v + 1]]`` itself, no copy:
+    unhashable, and equal only to memoryviews.  ``_runs`` is a counting sort
+    of the 2m normalized endpoints and ``_ends`` the n + 1 offsets, read-only
+    ``"I"`` memoryviews over bytearrays; the degree counts, summed in place,
+    become ``_ends``.  Pairs in strictly increasing order (as the renderers,
+    ``gnp`` and ``build_quotient`` write them) leave every run sorted and
+    distinct; any other order is sorted and de-duplicated first.
 
     The adjacency is the graph's one edge order: ``sorted_edges`` lists it,
     and ``m``, ``has_edge``, ``==``, ``hash`` and pickling read it.
@@ -77,9 +78,9 @@ class Graph:
             runs[i] = u
         self.n, self._runs, self._ends = n, runs.toreadonly(), at.toreadonly()
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of ``v`` in ascending id order."""
-        return tuple(self._runs[self._ends[v]:self._ends[v + 1]])
+    def neighbors(self, v: int) -> memoryview:
+        """Neighbors of ``v`` in ascending id order: its run as stored, no copy."""
+        return self._runs[self._ends[v]:self._ends[v + 1]]
 
     def degree(self, v: int) -> int:
         return self._ends[v + 1] - self._ends[v]
@@ -226,6 +227,8 @@ def _graph_items(lines: Iterable[str], dimacs: bool = False) -> Iterator:
     n = _int(parts[2] if dimacs else parts[0])
     if n < 0:
         raise ParseError("vertex count must be non-negative")
+    if dimacs and _int(parts[3]) < 0:  # read, not matched to the edge lines: duplicates collapse
+        raise ParseError("edge count must be non-negative")
     yield check_order(n)
     lo = int(dimacs)  # the least vertex id as written, and where u stands on an edge line
     # ids[u] is written id u counted from 0: one int object per id, shared by all its

@@ -54,7 +54,7 @@ def compute_partition(g: Graph) -> BcpPartition:
     # never partition need not pay.
     from heapq import heappop, heappush
 
-    n, runs, ends = g.n, g._runs, g._ends
+    n, neighbors = g.n, g.neighbors
     unused = [True] * n
     seen = [0] * n  # bit s set: a neighbor sits on side s of the current part
     parts: list[TwoSides] = []
@@ -72,7 +72,7 @@ def compute_partition(g: Graph) -> BcpPartition:
             unused[v] = False
             sides[s].append(v)
             bit = 1 << s
-            for w in runs[ends[v]:ends[v + 1]]:
+            for w in neighbors(v):
                 if unused[w]:
                     if not seen[w]:
                         touched.append(w)
@@ -112,24 +112,20 @@ def verify_partition(g: Graph, p: BcpPartition) -> VerificationReport:
 _A, _B, _SEEN = 1, 2, 4  # side bits, and the bit a part's traversal sets on each vertex it reaches
 
 
-def _check_partition(
-    g: Graph, p: BcpPartition
-) -> tuple[tuple[str, ...], dict[tuple[int, int], tuple[int, int, int] | None], list[int], bytearray]:
-    """The failures ``verify_partition`` reports, the witness map, and the
-    arrays ``part_of`` and ``side``.
+def _check_partition(g: Graph, p: BcpPartition) -> tuple[
+        tuple[str, ...], dict[tuple[int, int], tuple[int, int, int] | None]]:
+    """The failures ``verify_partition`` reports, and the witness map.
 
-    Once every clause holds, ``part_of[v]`` is the part holding vertex v,
-    ``side[v] & _B`` tells its side there, and the witness map sends each
-    pair (j, i), j < i, of parts joined by an edge, in ascending order, to
-    its least witness triple, or None if it has none; otherwise the map is
-    empty.  A witness triple of (j, i) is (u1, u2, v): u1 on side A and u2
-    on side B of part j, and v in part i adjacent to both.  The least is by
-    (v, u1, u2), which no order of traversal changes.  Part i's traversal
-    reads each run once: v's first neighbor on each side of an earlier part
-    j is its least there, since runs ascend, and (j, i) keeps the triple of
-    the least such v.
+    Once every clause holds, the witness map sends each pair (j, i), j < i,
+    of parts joined by an edge, in ascending order, to its least witness
+    triple, or None if it has none; otherwise the map is empty.  A witness
+    triple of (j, i) is (u1, u2, v): u1 on side A and u2 on side B of part
+    j, and v in part i adjacent to both.  The least is by (v, u1, u2), which
+    no order of traversal changes.  Part i's traversal reads each run once:
+    v's first neighbor on each side of an earlier part j is its least there,
+    since runs ascend, and (j, i) keeps the triple of the least such v.
     """
-    n, runs, ends = g.n, g._runs, g._ends
+    n, neighbors = g.n, g.neighbors
     part_of = [-1] * n  # in-range vertex -> the last part so far holding it
     side = bytearray(n)  # its side bits there, and _SEEN once that part's traversal reached it
     first: dict[int, int] = {}  # vertex held by two parts -> the first of them
@@ -180,7 +176,7 @@ def _check_partition(
                     u = stack.pop()
                     bits = side[u] & (_A | _B)
                     near = None  # earlier part -> u's least neighbor on its side A, and on its side B
-                    for w in runs[ends[u]:ends[u + 1]]:
+                    for w in neighbors(u):
                         j = part_of[w]
                         if j == i:
                             s = side[w]
@@ -209,14 +205,14 @@ def _check_partition(
     if -1 in part_of:
         failures.append(f"uncovered vertices: {[v for v in range(n) if part_of[v] < 0]}")
     if failures:
-        return tuple(failures), {}, part_of, side
+        return tuple(failures), {}
     triples = dict(sorted(triples.items()))
     failures.extend(
         f"parts ({j}, {i}) are joined by an edge but admit no witness triple"
         for (j, i), triple in triples.items()
         if triple is None
     )
-    return tuple(failures), triples, part_of, side
+    return tuple(failures), triples
 
 
 # ---------------------------------------------------------------------------

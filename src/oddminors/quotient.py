@@ -10,7 +10,7 @@ from __future__ import annotations
 from ._record import Record, VerificationReport
 from .errors import ParseError, StructureError
 from .graph import Graph, _graph_items, _Reader, render_edge_list
-from .partition import _A, _B, BcpPartition, _check_partition
+from .partition import BcpPartition, _check_partition
 
 
 class WitnessTriple(Record):
@@ -34,7 +34,7 @@ def build_quotient(g: Graph, p: BcpPartition) -> QuotientGraph:
     The partition is re-verified first; the stored witness for edge (i, j)
     is the least triple by (v, u1, u2) with u1 on side A of part i.
     """
-    failures, triples, _, _ = _check_partition(g, p)
+    failures, triples = _check_partition(g, p)
     if failures:
         raise StructureError("partition fails verification: " + "; ".join(failures))
     witnesses = {pair: WitnessTriple(*triple) for pair, triple in triples.items()}
@@ -50,17 +50,17 @@ def verify_quotient(g: Graph, q: QuotientGraph) -> VerificationReport:
     loops and parallel edges: its edges are the part pairs that the
     partition check finds joined in g.  A witness (u1, u2, v) for edge
     (i, j) needs u1 on side A and u2 on side B of part i, and v a common
-    neighbor of both inside part j: the partition check's per-vertex arrays
-    tell where each vertex sits, so no part is searched.
+    neighbor of both inside part j: each is looked up by bisection on the
+    side's ascending ids, so no part is scanned.
     """
+    from bisect import bisect_left
     p = q.partition
-    invalid, joined, part_of, side = _check_partition(g, p)
+    invalid, joined = _check_partition(g, p)
     if invalid:
         return VerificationReport(invalid)
 
-    def sits(v: int, i: int, bits: int) -> bool:
-        # Whether vertex v lies in part i, on a side among ``bits``.
-        return 0 <= v < g.n and part_of[v] == i and (side[v] & bits) > 0
+    def sits(v: int, ids: tuple[int, ...]) -> bool:
+        return (k := bisect_left(ids, v)) < len(ids) and ids[k] == v
 
     failures: list[str] = []
     h_edges = q.h.sorted_edges()
@@ -73,11 +73,11 @@ def verify_quotient(g: Graph, q: QuotientGraph) -> VerificationReport:
         if not (0 <= i < len(p) and 0 <= j < len(p)) or i >= j:
             failures.append(f"witness for ({i}, {j}): not an ordered part pair")
             continue
-        if not sits(w.u1, i, _A):
+        if not sits(w.u1, p.parts[i].side_a):
             failures.append(f"witness for ({i}, {j}): {w.u1} not on side A of part {i}")
-        elif not sits(w.u2, i, _B):
+        elif not sits(w.u2, p.parts[i].side_b):
             failures.append(f"witness for ({i}, {j}): {w.u2} not on side B of part {i}")
-        elif not sits(w.v, j, _A | _B):
+        elif not (sits(w.v, p.parts[j].side_a) or sits(w.v, p.parts[j].side_b)):
             failures.append(f"witness for ({i}, {j}): {w.v} not in part {j}")
         elif not (g.has_edge(w.u1, w.v) and g.has_edge(w.u2, w.v)):
             failures.append(

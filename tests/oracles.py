@@ -753,6 +753,8 @@ def frozen_parse_dimacs(text: str) -> FrozenGraph:
             n = _frozen_parse_int(parts[2], lineno)
             if n < 0:
                 raise ParseError(f"line {lineno}: vertex count must be non-negative")
+            if _frozen_parse_int(parts[3], lineno) < 0:
+                raise ParseError(f"line {lineno}: edge count must be non-negative")
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before 'p edge' header")

@@ -65,7 +65,7 @@ class TestGraph:
 
     def test_neighbors_ascending(self):
         g = Graph(4, [(3, 1), (1, 0), (1, 2)])
-        assert g.neighbors(1) == (0, 2, 3)
+        assert tuple(g.neighbors(1)) == (0, 2, 3)
         assert g.degree(1) == 3
         assert g.has_edge(1, 3) and not g.has_edge(0, 3)
 
@@ -466,6 +466,10 @@ GOLDEN_ERRORS = [
     ('dimacs', 'p edge 3\n', "line 1: expected 'p edge n m', got 'p edge 3'"),
     ('dimacs', 'p edge x 1\n', "line 1: expected integer, got 'x'"),
     ('dimacs', 'p edge -2 0\n', 'line 1: vertex count must be non-negative'),
+    ('dimacs', 'p edge 3 xyz\n', "line 1: expected integer, got 'xyz'"),
+    ('dimacs', 'p edge 3 -5\n', 'line 1: edge count must be non-negative'),
+    ('dimacs', 'p edge 3 1.5\ne 1 2\n', "line 1: expected integer, got '1.5'"),
+    ('dimacs', 'p edge x -5\n', "line 1: expected integer, got 'x'"),
     ('dimacs', 'p edge 3 1\ne 1\n', "line 2: expected 'e u v', got 'e 1'"),
     ('dimacs', 'p edge 3 1\ne 2 2\n', 'line 2: self-loop at vertex 2'),
     ('dimacs', 'p edge 3 1\nx 1 2\n', "line 2: unrecognized line 'x 1 2'"),
@@ -612,7 +616,7 @@ class TestAgainstFrozenGraph:
 
     def test_isolated_vertices_have_empty_neighbors(self):
         g = Graph(5, [(3, 1)])
-        assert [g.neighbors(v) for v in range(5)] == [(), (3,), (), (1,), ()]
+        assert [tuple(g.neighbors(v)) for v in range(5)] == [(), (3,), (), (1,), ()]
         assert_same_graph(g, FrozenGraph(5, [(3, 1)]))
 
     def test_same_side_edges_named_in_sorted_order(self):

@@ -5,16 +5,21 @@ fields in slots, every partition side is a tuple of ids in ascending order
 and every empty one is the shared ``()``, and a graph, parsed or built,
 holds only its adjacency, which serves every partition stage: one packed
 read-only buffer of neighbor ids and one of offsets, with no tuple per
-vertex and no int object but its vertex count.
+vertex and no int object but its vertex count.  ``neighbors(v)`` hands out
+v's run as a slice of that buffer, not a copy; only ``graph.py`` reads the
+buffers, and only ``partition.py`` names its check's side bits.
 """
 
+import ast
 import copy
 import gc
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
+import oddminors
 from oddminors import (
     BcpPartition,
     ExpansionTree,
@@ -104,10 +109,28 @@ def test_graph_holds_one_packed_buffer_of_neighbor_ids(g3000):
     assert packed(g._runs) and len(g._runs) == 2 * g.m
     assert g._runs.tolist() == [w for v in range(g.n) for w in g.neighbors(v)]
     assert packed(g._ends) and len(g._ends) == g.n + 1
+    runs = [g.neighbors(v) for v in range(g.n)]
+    assert all(type(run) is memoryview and run.readonly and run.format == "I"
+               and run.obj is g._runs.obj for run in runs)  # slices of the buffer, no copy
     empty = tuple()  # the one empty tuple object
     isolated = [v for v in range(g.n) if not g.degree(v)]
     assert len(isolated) > 100  # about e^-2 of the vertices of G(n, m = n)
-    assert all(g.neighbors(v) is empty for v in isolated)
+    assert all(len(runs[v]) == 0 and tuple(runs[v]) is empty for v in isolated)
+
+
+def test_each_layout_is_read_by_its_own_module_only():
+    # A graph's packed buffers belong to graph.py and the partition check's
+    # side bits to partition.py; any other module goes through neighbors()
+    # or the parts' sides.
+    owner = {"_runs": "graph.py", "_ends": "graph.py", "_A": "partition.py", "_B": "partition.py", "_SEEN": "partition.py"}
+    hits = []
+    for path in sorted(Path(oddminors.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # An attribute read, a name, or a name imported or defined.
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if name in owner and path.name != owner[name]:
+                hits.append(f"{path.name}:{node.lineno} {name}")
+    assert hits == []
 
 
 def test_graph_copies_and_pickles(g3000):
